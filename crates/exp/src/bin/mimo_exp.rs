@@ -46,7 +46,7 @@ SUBCOMMANDS:
     fig11        Figure 11: tracking-error scatter
     fig12        Figure 12: time-varying (QoE/battery) tracking
     tab-opt      §VIII-F text: E and E×D² reductions
-    fleet-scale  fleet sizes × worker counts under one chip budget
+    fleet-scale  fleet sizes N ∈ {1,4,16,64} under one chip budget
     cluster-scale  chips × cores-per-chip under one datacenter budget,
                  sharded chip-parallel with shared-LLC contention
     fault-sweep  fault rate × arbitration policy on a 16-core fleet

@@ -922,53 +922,39 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
 // Fleet scaling — many-core runtime under a chip power budget
 // ---------------------------------------------------------------------------
 
-/// One fleet-scaling data point: a fleet size × worker count combination.
+/// One fleet-scaling data point: one fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetScalePoint {
     /// Fleet statistics for the run.
     pub stats: mimo_fleet::FleetStats,
-    /// Digest of the deterministic fields (identical across worker counts
-    /// for the same fleet size and seed).
+    /// Digest of the deterministic fields.
     pub digest: u64,
 }
 
-/// Sweeps fleet sizes N ∈ {1, 4, 16, 64} at one and several worker
-/// threads, all cores running clones of a single synthesized two-input
-/// MIMO controller under a proportional chip-power arbiter.
-///
-/// Every (N, seed) pair must produce bit-identical deterministic stats at
-/// every worker count; the returned points preserve the sweep order
-/// (workers-inner) so callers can verify pairwise digests.
+/// Sweeps fleet sizes N ∈ {1, 4, 16, 64}, all cores running clones of a
+/// single synthesized two-input MIMO controller under a proportional
+/// chip-power arbiter. Each fleet is one chip stepped serially, so the
+/// CSV is a pure function of the seed and epoch count.
 ///
 /// # Errors
 ///
 /// Propagates controller-design failures and fleet configuration/run
-/// failures, naming the failing `(n_cores, workers)` cell.
+/// failures, naming the failing fleet size.
 pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
     let design = cfg.cache.design_mimo(InputSet::FreqCache, cfg.seed)?;
     let epochs = cfg.tracking_epochs.min(1000);
-    let multi = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-    let worker_counts = [1usize, multi];
 
-    // The fleet runner drives its own worker pool, so this sweep stays
-    // serial at the harness level rather than oversubscribing the host.
     let mut points = Vec::new();
     for &n in &[1usize, 4, 16, 64] {
-        for &w in &worker_counts {
-            // Never ask for more workers than cores: validate() rejects
-            // explicit over-subscription instead of clamping now.
-            let label = format!("fleet-scale/n{n}/w{w}");
-            let fleet_cfg = mimo_fleet::FleetConfig::new(n)
-                .workers(w.min(n))
-                .epochs(epochs)
-                .seed(cfg.seed);
-            let stats =
-                mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-                    .and_then(mimo_fleet::FleetRunner::run)
-                    .map_err(|e| cell_err(&label, e))?;
-            let digest = stats.digest();
-            points.push(FleetScalePoint { stats, digest });
-        }
+        let label = format!("fleet-scale/n{n}");
+        let fleet_cfg = mimo_fleet::FleetConfig::new(n)
+            .epochs(epochs)
+            .seed(cfg.seed);
+        let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
+            .and_then(mimo_fleet::FleetRunner::run)
+            .map_err(|e| cell_err(&label, e))?;
+        let digest = stats.digest();
+        points.push(FleetScalePoint { stats, digest });
     }
 
     if cfg.emit {
@@ -978,7 +964,6 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
                 let s = &p.stats;
                 vec![
                     s.n_cores.to_string(),
-                    s.workers.to_string(),
                     s.epochs.to_string(),
                     s.policy.clone(),
                     report::fmt(s.agg_ips_err_pct, 2),
@@ -991,13 +976,12 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
             })
             .collect();
         // No wall-clock columns in the CSV: results files must be
-        // bit-identical across runs and job counts (CI diffs them), so
-        // throughput goes to stdout and BENCH_harness.json instead.
+        // bit-identical across runs, hosts, and job counts (CI diffs
+        // them), so throughput goes to stdout and BENCH_harness.json.
         let path = cfg.results.write_csv(
             "fleet_scale.csv",
             &[
                 "n_cores",
-                "workers",
                 "epochs",
                 "policy",
                 "ips_err_pct",
@@ -1012,29 +996,16 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
         if let Ok(p) = path {
             println!("wrote {}", p.display());
         }
-        let mut cmp = Vec::new();
-        for pair in points.chunks(worker_counts.len()) {
-            let a = &pair[0].stats;
-            let all_match = pair.iter().all(|p| p.digest == pair[0].digest);
-            cmp.push(Comparison::new(
-                &format!("N={} deterministic across workers", a.n_cores),
-                "bit-identical",
-                if all_match {
-                    "bit-identical"
-                } else {
-                    "MISMATCH"
-                },
-            ));
-            let best = pair
-                .iter()
-                .map(|p| p.stats.epochs_per_sec)
-                .fold(0.0f64, f64::max);
-            cmp.push(Comparison::new(
-                &format!("N={} throughput (best)", a.n_cores),
-                "scales with workers on multicore hosts",
-                &format!("{} epochs/s", report::fmt(best, 0)),
-            ));
-        }
+        let cmp: Vec<Comparison> = points
+            .iter()
+            .map(|p| {
+                Comparison::new(
+                    &format!("N={} throughput", p.stats.n_cores),
+                    "-",
+                    &format!("{} epochs/s", report::fmt(p.stats.epochs_per_sec, 0)),
+                )
+            })
+            .collect();
         println!("{}", report::comparison_table("Fleet scaling", &cmp));
     }
     Ok(points)
@@ -1083,7 +1054,7 @@ pub fn cluster_scale(
     let grid = [(4usize, 4usize), (4, 16), (16, 16)];
 
     // The cluster runner drives its own shard threads, so the sweep stays
-    // serial at the harness level (same reasoning as fleet_scale).
+    // serial at the harness level rather than oversubscribing the host.
     let mut points = Vec::new();
     for &(chips, cores) in &grid {
         let shard_counts: Vec<usize> = match shards {
@@ -1272,7 +1243,6 @@ pub fn fault_sweep_traced(
     for &rate in &rates {
         for &policy in &policies {
             let mut fleet_cfg = mimo_fleet::FleetConfig::new(n)
-                .workers(0)
                 .epochs(epochs)
                 .policy(policy)
                 .seed(cfg.seed)

@@ -35,7 +35,6 @@ impl FleetSpec {
     /// the configuration (bad topology, unknown app, …).
     pub fn lower(&self, epochs_override: Option<usize>) -> DeResult<FleetConfig> {
         let mut cfg = FleetConfig::new(self.cores)
-            .workers(self.workers)
             .epochs(epochs_override.unwrap_or(self.epochs))
             .seed(self.seed)
             .input_set(self.input_set)
@@ -151,7 +150,6 @@ mod tests {
     fn fleet_spec() -> FleetSpec {
         FleetSpec {
             cores: 4,
-            workers: 2,
             epochs: 100,
             seed: 7,
             power_cap: Some(4.0),
@@ -173,7 +171,6 @@ mod tests {
     fn fleet_lowers_onto_the_builder() {
         let cfg = fleet_spec().lower(None).unwrap();
         assert_eq!(cfg.n_cores, 4);
-        assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.chip_power_cap_w, 4.0);
         assert_eq!(cfg.policy, ArbitrationPolicy::Uniform);
         assert_eq!(cfg.base_targets, [2.5, 1.5]);

@@ -73,7 +73,7 @@ pub enum PaperExperiment {
     Fig12,
     /// §VIII-F text: E and E×D² reductions.
     TabOpt,
-    /// Fleet sizes × worker counts under one chip budget.
+    /// Fleet sizes under one chip budget.
     FleetScale,
     /// Chips × cores-per-chip under one datacenter budget.
     ClusterScale,
@@ -177,8 +177,6 @@ pub enum GovernorKind {
 pub struct FleetSpec {
     /// Cores on the chip.
     pub cores: usize,
-    /// Worker threads (default 1; results are identical at any value).
-    pub workers: usize,
     /// Epochs to run (`--epochs` overrides).
     pub epochs: usize,
     /// Base RNG seed (default 2016).
@@ -275,7 +273,8 @@ pub struct Asserts {
     pub tracking_error: Vec<TrackingErrorAssert>,
     /// Bounds on quarantined cores (fleet/cluster kinds).
     pub quarantined: Option<QuarantinedAssert>,
-    /// Byte-identity of CSV output across worker/shard counts.
+    /// Byte-identity of CSV output across re-runs, job counts, and shard
+    /// counts.
     pub invariant: Option<InvariantAssert>,
 }
 
@@ -335,7 +334,8 @@ pub struct QuarantinedAssert {
 /// produced CSV bytes to be identical.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct InvariantAssert {
-    /// Worker counts to compare (paper/loop/fleet kinds).
+    /// Grid job counts to compare (paper kind); loop and fleet kinds
+    /// simply re-run once per entry.
     pub jobs: Vec<usize>,
     /// Shard counts to compare (cluster kind, and `cluster-scale`).
     pub shards: Vec<usize>,
@@ -590,7 +590,6 @@ impl FromValue for FleetSpec {
         t.deny_unknown(
             &[
                 "cores",
-                "workers",
                 "epochs",
                 "seed",
                 "power_cap",
@@ -607,7 +606,6 @@ impl FromValue for FleetSpec {
         )?;
         Ok(FleetSpec {
             cores: t.field("cores", path, v.line)?,
-            workers: t.field_or("workers", path, 1)?,
             epochs: t.field("epochs", path, v.line)?,
             seed: t.field_or("seed", path, 2016)?,
             power_cap: t.field_opt("power_cap", path)?,
@@ -898,11 +896,7 @@ impl RunSpec {
                     }
                 }
             }
-            Scenario::Fleet(f) => {
-                if f.workers == 0 {
-                    return bad("fleet.workers", "must be at least 1".into());
-                }
-            }
+            Scenario::Fleet(_) => {}
             Scenario::Cluster(c) => {
                 if c.shards == 0 {
                     return bad("cluster.shards", "must be at least 1".into());

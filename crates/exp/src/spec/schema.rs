@@ -44,7 +44,6 @@ epochs      integer, required       --epochs overrides
 [fleet]                             (kind = \"fleet\")
 ----------------------------------------------------
 cores       integer, required
-workers     integer, default 1      results byte-identical at any value
 epochs      integer, required       --epochs overrides
 seed        integer, default 2016
 power_cap   float,   default nominal (1.2 W/core)
@@ -95,7 +94,7 @@ csv = [\"a.csv\", ...]               files the run must produce
   max       integer, default unbounded
   epochs    integer, optional       epoch gate
 [asserts.invariant]                 re-run and byte-compare the CSVs
-  jobs      array of integers       paper/loop/fleet: worker counts to compare
+  jobs      array of integers       paper: grid job counts; loop/fleet: re-runs
   shards    array of integers       cluster (and cluster-scale): shard counts
 
 Epoch-gated assertions (digest, and any tracking_error/quarantined with

@@ -6,10 +6,9 @@ use mimo_fleet::{ArbitrationPolicy, FleetConfig, FleetRunner};
 use mimo_sim::fault::{FaultKind, FaultSpec};
 use mimo_sim::InputSet;
 
-fn run(workers: usize, policy: ArbitrationPolicy, cap_w: f64) -> mimo_fleet::FleetStats {
+fn run(policy: ArbitrationPolicy, cap_w: f64) -> mimo_fleet::FleetStats {
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let cfg = FleetConfig::new(4)
-        .workers(workers)
         .epochs(400)
         .policy(policy)
         .chip_power_cap(cap_w)
@@ -21,24 +20,23 @@ fn run(workers: usize, policy: ArbitrationPolicy, cap_w: f64) -> mimo_fleet::Fle
 }
 
 #[test]
-fn mimo_fleet_is_deterministic_across_worker_counts() {
-    let one = run(1, ArbitrationPolicy::Proportional, 4.8);
-    let many = run(4, ArbitrationPolicy::Proportional, 4.8);
-    assert_eq!(one, many);
-    assert_eq!(one.digest(), many.digest());
+fn mimo_fleet_is_deterministic_across_reruns() {
+    let one = run(ArbitrationPolicy::Proportional, 4.8);
+    let again = run(ArbitrationPolicy::Proportional, 4.8);
+    assert_eq!(one, again);
+    assert_eq!(one.digest(), again.digest());
     // Deterministic fields are populated, not trivially zero.
     assert!(one.energy_j > 0.0);
     assert!(one.avg_chip_power_w > 0.0);
 }
 
 #[test]
-fn faulted_fleet_is_deterministic_across_worker_counts() {
+fn faulted_fleet_is_deterministic_across_reruns() {
     // Same seed must give the same transient fault sequence — and the same
-    // quarantine decisions — no matter how many workers step the cores.
+    // quarantine decisions — run after run.
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
-    let run = |workers: usize| {
+    let run = || {
         let cfg = FleetConfig::new(6)
-            .workers(workers)
             .epochs(300)
             .policy(ArbitrationPolicy::Proportional)
             .chip_power_cap(7.2)
@@ -49,12 +47,12 @@ fn faulted_fleet_is_deterministic_across_worker_counts() {
             .run()
             .expect("validated fleet config")
     };
-    let one = run(1);
-    let many = run(3);
+    let one = run();
+    let again = run();
     // PartialEq covers the quarantine bookkeeping too, so this checks the
     // fault + quarantine sequence bit for bit, not just the FP telemetry.
-    assert_eq!(one, many);
-    assert_eq!(one.digest(), many.digest());
+    assert_eq!(one, again);
+    assert_eq!(one.digest(), again.digest());
     assert!(
         one.fault_epochs > 0,
         "rate 0.05 over 1800 core-epochs: {one:?}"
@@ -70,7 +68,6 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let bad_cores = [1, 5, 9, 13];
     let mut cfg = FleetConfig::new(16)
-        .workers(4)
         .epochs(300)
         .policy(ArbitrationPolicy::Proportional)
         .chip_power_cap(19.2)
@@ -123,8 +120,8 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
 fn tight_cap_throttles_power_below_generous_cap() {
     // Halving the chip budget must reduce what the fleet actually burns:
     // the arbiter lowers per-core references and the LQG loops follow.
-    let generous = run(1, ArbitrationPolicy::Proportional, 8.0);
-    let tight = run(1, ArbitrationPolicy::Proportional, 2.4);
+    let generous = run(ArbitrationPolicy::Proportional, 8.0);
+    let tight = run(ArbitrationPolicy::Proportional, 2.4);
     assert!(
         tight.avg_chip_power_w < generous.avg_chip_power_w,
         "tight {tight:?} vs generous {generous:?}"

@@ -62,11 +62,25 @@ fn syntax_error_names_file_and_line() {
 
 #[test]
 fn unknown_key_is_named_with_its_line() {
-    let spec = temp_spec(
-        "unknown-key",
-        "schema = 1\nname = \"x\"\nkind = \"paper\"\nbogus = 1\n[paper]\nexperiment = \"fig06\"\n",
-    );
-    assert_run_fails(&spec, &["unknown-key.toml", "bogus", "unknown key"]);
+    let cases = [
+        (
+            "unknown-key",
+            "schema = 1\nname = \"x\"\nkind = \"paper\"\nbogus = 1\n[paper]\nexperiment = \"fig06\"\n",
+            "unknown-key.toml:4",
+            "bogus",
+        ),
+        // A fleet is one serial chip: there is no worker-count key.
+        (
+            "fleet-workers",
+            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nworkers = 2\nepochs = 100\n",
+            "fleet-workers.toml:6",
+            "fleet.workers",
+        ),
+    ];
+    for (label, text, location, key) in cases {
+        let spec = temp_spec(label, text);
+        assert_run_fails(&spec, &[location, key, "unknown key"]);
+    }
 }
 
 #[test]

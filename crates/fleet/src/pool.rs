@@ -24,7 +24,7 @@
 //! serially inline on that thread (tracked by a thread-local flag).
 //! Nested submissions therefore never wait on pool capacity, so no cycle
 //! of waits can form: the spec runner re-running inside a `--jobs` cell,
-//! or a banked fleet stepping inside a sharded cluster, is always safe.
+//! or a sharded cluster run inside a grid cell, is always safe.
 //!
 //! # Determinism
 //!
@@ -270,8 +270,8 @@ impl WorkerPool {
 }
 
 /// The process-wide shared pool: one helper per available hardware thread
-/// beyond the caller's, created on first use and reused by every fleet
-/// run, cluster window, and harness cell thereafter.
+/// beyond the caller's, created on first use and reused by every cluster
+/// window and harness cell thereafter.
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<&'static WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {

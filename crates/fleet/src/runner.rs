@@ -1,74 +1,38 @@
-//! The single-chip fleet runtime: lock-step epoch scheduling across worker
-//! threads.
+//! The single-chip fleet runtime: one [`Chip`] stepped serially.
 //!
-//! Every core owns a plant and a governor. The cores are partitioned into
-//! contiguous **bands** (one per worker), and each 50 µs epoch proceeds in
-//! three beats driven by the shared persistent [`WorkerPool`](crate::pool)
-//! — no per-run thread spawns, no per-epoch barriers:
+//! Every core owns a plant and a governor. A fleet run is a loop of
+//! [`Chip::step_epoch`] calls, one per 50 µs epoch, each the chip's one
+//! beat: step every core in core order, arbitrate over the core-indexed
+//! observation table (refreshing the shared-LLC penalties when the config
+//! enables contention), retarget. Fleets built from one shared controller
+//! step their healthy cores through a structure-of-arrays
+//! [`GovernorBank`](crate::GovernorBank), bit-identical to per-cell
+//! stepping; quarantined cores are evicted to the per-cell path.
 //!
-//! 1. **Step** — a pool batch advances every band: the governor consumes
-//!    the previous epoch's measurement and emits an actuation, the plant
-//!    applies it, and the measured `[IPS, power]` lands in the band's
-//!    observation log. Fleets built from one shared controller step each
-//!    band's healthy cores through a structure-of-arrays
-//!    [`GovernorBank`](crate::GovernorBank) (bit-identical to per-cell
-//!    stepping); quarantined cores are evicted to the per-cell path.
-//! 2. **Arbitrate** — the submitting thread gathers the band logs in core
-//!    order, runs the [`BudgetArbiter`] over the full table to produce
-//!    next epoch's per-core `[IPS, power]` references — and, when the
-//!    config enables shared-LLC contention, refreshes the per-core
-//!    miss-pressure penalties from the core-ordered way allocations.
-//! 3. **Retarget** — a second pool batch installs every band's new
-//!    references (and LLC penalties) into its governors and plants.
+//! A chip epoch is a few microseconds of serial work, so the beat runs on
+//! the calling thread. Parallelism lives one level up: the
+//! [`ClusterRunner`](crate::ClusterRunner) steps whole chips on shard
+//! threads, and a one-chip cluster reproduces a fleet run bit for bit.
 //!
 //! Determinism: core seeds derive from the base seed and core index only,
-//! the observation table is indexed by core, and the arbiter reduces in
-//! core order — so results are bit-identical no matter how many workers
-//! stepped the cores. The single-worker case runs the same code path
-//! serially inline.
-//!
-//! For multi-chip fleets, see [`ClusterRunner`](crate::ClusterRunner):
-//! whole chips become the unit of parallelism ([`Chip`](crate::Chip) steps
-//! a chip's beat serially) and this per-epoch barrier disappears.
+//! and the arbiter reduces in core order, so a run's [`FleetStats`] are a
+//! pure function of its configuration.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
-use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
+use mimo_core::governor::{Governor, MimoGovernor};
 use mimo_core::lqg::LqgController;
-use mimo_linalg::Vector;
-use mimo_sim::llc::SharedLlc;
 
-use crate::arbiter::{BudgetArbiter, CoreObs};
-use crate::bank::BankKind;
-use crate::chip::{build_cells, CoreCell};
+use crate::chip::Chip;
 use crate::config::{CoreSpec, FleetConfig};
 use crate::error::Result;
-use crate::stats::{CoreStats, FleetStats};
-use crate::telemetry::{CoreTelemetry, FleetTelemetry};
-
-/// One worker's contiguous slice of the fleet, plus its governor bank.
-struct Band<'a> {
-    cells: &'a mut [CoreCell],
-    /// Batched SoA governor for this band's healthy cores; `None` when the
-    /// fleet has no shared controller prototype or banking is disabled.
-    bank: Option<BankKind>,
-    /// Band-local cell position → bank slot; `None` once evicted.
-    slots: Vec<Option<usize>>,
-    /// Per-epoch observation log in band-local cell order:
-    /// `(obs, quarantine latch, applied L2 ways)`.
-    log: Vec<(CoreObs, bool, f64)>,
-}
+use crate::stats::FleetStats;
+use crate::telemetry::FleetTelemetry;
 
 /// Runs a fleet of independently governed cores under one chip budget.
 pub struct FleetRunner {
-    cfg: FleetConfig,
-    cells: Vec<CoreCell>,
-    /// The shared controller prototype, kept so the run can build per-band
-    /// [`GovernorBank`](crate::GovernorBank)s; `None` for heterogeneous
-    /// (factory-built) or deliberately dynamic fleets, which always step
-    /// per-cell.
-    proto: Option<LqgController>,
+    chip: Chip,
+    epochs: usize,
 }
 
 impl FleetRunner {
@@ -79,16 +43,16 @@ impl FleetRunner {
     ///
     /// Returns [`FleetError::InvalidConfig`](crate::FleetError::InvalidConfig) for a bad configuration or a
     /// governor whose input count does not match the plant, and
-    /// [`FleetError::Sim`](crate::FleetError::Sim) if a plant fails to build.
+    /// [`FleetError::Sim`](crate::FleetError::Sim) if a plant or the
+    /// LLC-contention model fails to build.
     pub fn new<F>(cfg: FleetConfig, mut factory: F) -> Result<Self>
     where
         F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
     {
-        let cells = build_cells(&cfg, &mut factory)?;
+        let epochs = cfg.epochs;
         Ok(FleetRunner {
-            cfg,
-            cells,
-            proto: None,
+            chip: Chip::build(0, cfg, &mut factory)?,
+            epochs,
         })
     }
 
@@ -100,7 +64,7 @@ impl FleetRunner {
     /// [`mimo_core::governor::fast_governor`], so controllers whose shape
     /// matches a reference architecture step on stack-allocated fixed-size
     /// kernels. When [`FleetConfig::banked`] is on (the default) and the
-    /// shape matches, each worker's cores additionally step as one
+    /// shape matches, the healthy cores additionally step as one
     /// structure-of-arrays [`GovernorBank`](crate::GovernorBank) batch.
     /// Both fast paths are bit-identical to the dynamic per-cell one — the
     /// fleet digests do not move.
@@ -109,9 +73,11 @@ impl FleetRunner {
     ///
     /// Same conditions as [`FleetRunner::new`].
     pub fn with_shared_controller(cfg: FleetConfig, ctrl: &LqgController) -> Result<Self> {
-        let mut runner = FleetRunner::new(cfg, |_, _| fast_governor(ctrl.clone()))?;
-        runner.proto = Some(ctrl.clone());
-        Ok(runner)
+        let epochs = cfg.epochs;
+        Ok(FleetRunner {
+            chip: Chip::build_banked(0, cfg, ctrl)?,
+            epochs,
+        })
     }
 
     /// Like [`FleetRunner::with_shared_controller`], but pins every core to
@@ -127,16 +93,16 @@ impl FleetRunner {
 
     /// Number of cores in the fleet.
     pub fn n_cores(&self) -> usize {
-        self.cells.len()
+        self.chip.n_cores()
     }
 
     /// Runs the configured number of epochs and returns fleet statistics.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`](crate::FleetError::InvalidConfig) if the configuration fails
-    /// [`FleetConfig::validate`] (re-checked here so mutations after
-    /// [`FleetRunner::new`] cannot slip through).
+    /// None today: construction already validated the configuration. The
+    /// `Result` keeps the signature shared with [`FleetRunner::run_traced`]
+    /// and the cluster runtime.
     pub fn run(self) -> Result<FleetStats> {
         self.run_traced().map(|(stats, _)| stats)
     }
@@ -149,178 +115,13 @@ impl FleetRunner {
     ///
     /// Same conditions as [`FleetRunner::run`].
     pub fn run_traced(mut self) -> Result<(FleetStats, FleetTelemetry)> {
-        self.cfg.validate()?;
-        let epochs = self.cfg.epochs;
-        let n = self.cells.len();
-        let workers = self.cfg.effective_workers();
-        let chunk = n.div_ceil(workers);
-        let base = Vector::from_slice(&self.cfg.base_targets);
-        let priorities: Vec<f64> = self.cells.iter().map(|c| c.spec.priority).collect();
-        let llc = match self.cfg.llc {
-            Some(lcfg) => Some(SharedLlc::new(lcfg, n)?),
-            None => None,
-        };
-        let contended = llc.is_some();
-        let mut obs = vec![
-            CoreObs {
-                ips: 0.0,
-                power: 0.0
-            };
-            n
-        ];
-        let mut arbiter = BudgetArbiter::new(
-            self.cfg.chip_power_cap_w,
-            self.cfg.policy,
-            self.cfg.base_targets,
-            priorities,
-        );
-        // Quarantine latch per core; once set, the arbiter pins that core
-        // at the floor budget and redistributes the rest.
-        let mut quarantined = vec![false; n];
-        // Applied L2 ways per core, refreshed each epoch — only read when
-        // the contention model is on.
-        let mut ways = vec![0.0; n];
-        let mut llc = llc;
-        let mut targets = vec![base.clone(); n];
-        // chunks_mut may produce fewer bands than requested workers when
-        // n is small; the stats record the actual band count.
-        let parties = if n == 0 { 1 } else { n.div_ceil(chunk) };
-        let banked = self.cfg.banked;
-        let proto = self.proto.as_ref();
-
         let started = Instant::now();
-        {
-            let bands: Vec<Mutex<Band>> = self
-                .cells
-                .chunks_mut(chunk)
-                .map(|cells| {
-                    let mut bank = if banked {
-                        proto.and_then(BankKind::try_new)
-                    } else {
-                        None
-                    };
-                    let mut slots = vec![None; cells.len()];
-                    if let Some(bank) = bank.as_mut() {
-                        // Slots are keyed by band-local cell position so an
-                        // eviction's swap-remove remap stays band-internal.
-                        for (pos, entry) in slots.iter_mut().enumerate() {
-                            let slot = bank.enroll(pos);
-                            bank.set_target(slot, &base);
-                            *entry = Some(slot);
-                        }
-                    }
-                    let log = Vec::with_capacity(cells.len());
-                    Mutex::new(Band {
-                        cells,
-                        bank,
-                        slots,
-                        log,
-                    })
-                })
-                .collect();
-            let pool = crate::pool::global();
-            for _ in 0..epochs {
-                // Beat 1: one pool batch steps every band — the bank
-                // advances the healthy cores as one SoA batch, fresh
-                // quarantines install the fallback governor and evict the
-                // core from its band's bank.
-                pool.run_bounded(bands.len(), workers, &|bi| {
-                    let mut band = bands[bi].lock().unwrap();
-                    let Band {
-                        cells,
-                        bank,
-                        slots,
-                        log,
-                    } = &mut *band;
-                    log.clear();
-                    if let Some(bank) = bank.as_mut() {
-                        for (pos, cell) in cells.iter().enumerate() {
-                            if let Some(slot) = slots[pos] {
-                                bank.load_measurement(slot, cell.lp.outputs().as_slice());
-                            }
-                        }
-                        bank.step_all();
-                    }
-                    for (pos, cell) in cells.iter_mut().enumerate() {
-                        let (obs, quarantined_now) = match (&*bank, slots[pos]) {
-                            (Some(bank), Some(slot)) => cell.step_banked(bank.decision(slot)),
-                            _ => cell.step(),
-                        };
-                        if quarantined_now {
-                            cell.handle_quarantine();
-                            if let (Some(bank), Some(slot)) = (bank.as_mut(), slots[pos].take()) {
-                                if let Some(moved) = bank.evict(slot) {
-                                    slots[moved] = Some(slot);
-                                }
-                            }
-                        }
-                        // Report the live latch: a core the fallback
-                        // rescues regains budget; a permanently faulted
-                        // one re-latches and stays pinned at the floor.
-                        let ways = if contended {
-                            cell.applied_l2_ways()
-                        } else {
-                            0.0
-                        };
-                        log.push((obs, cell.lp.is_quarantined(), ways));
-                    }
-                });
-                // Beat 2: the submitting thread gathers the band logs into
-                // the core-indexed table, arbitrates over it, and refreshes
-                // the contention penalties in core order.
-                for band in &bands {
-                    let band = band.lock().unwrap();
-                    for (cell, &(o, q, w)) in band.cells.iter().zip(&band.log) {
-                        obs[cell.idx] = o;
-                        quarantined[cell.idx] = q;
-                        if contended {
-                            ways[cell.idx] = w;
-                        }
-                    }
-                }
-                targets = arbiter.arbitrate_with_quarantine(&obs, &quarantined);
-                if let Some(llc) = &mut llc {
-                    llc.update(&ways);
-                }
-                // Beat 3: a second pool batch installs the new references.
-                let targets = &targets;
-                let llc = llc.as_ref();
-                pool.run_bounded(bands.len(), workers, &|bi| {
-                    let mut band = bands[bi].lock().unwrap();
-                    let Band {
-                        cells, bank, slots, ..
-                    } = &mut *band;
-                    for (pos, cell) in cells.iter_mut().enumerate() {
-                        let target = &targets[cell.idx];
-                        if let (Some(bank), Some(slot)) = (bank.as_mut(), slots[pos]) {
-                            // The cell's boxed governor is stale while the
-                            // bank steps for it; retarget the bank slot and
-                            // the cell's error-tracking reference only.
-                            cell.target.copy_from(target);
-                            bank.set_target(slot, target);
-                        } else {
-                            cell.retarget(target);
-                        }
-                        if let Some(llc) = llc {
-                            cell.set_llc_penalty(llc.penalty(cell.idx));
-                        }
-                    }
-                });
-            }
+        for _ in 0..self.epochs {
+            self.chip.step_epoch();
         }
-        let wall_s = started.elapsed().as_secs_f64();
-        let mut per_core: Vec<CoreStats> = Vec::with_capacity(self.cells.len());
-        let mut per_core_telemetry: Vec<CoreTelemetry> = Vec::new();
-        for cell in self.cells {
-            let (stats, telemetry) = cell.into_results();
-            per_core.push(stats);
-            if let Some(t) = telemetry {
-                per_core_telemetry.push(t);
-            }
-        }
-        let telemetry = FleetTelemetry::from_cores(per_core_telemetry);
-        let stats = FleetStats::assemble(&self.cfg, parties, epochs, &arbiter, per_core, wall_s);
-        Ok((stats, telemetry))
+        self.chip.add_wall(started.elapsed().as_secs_f64());
+        let (stats, telemetry) = self.chip.into_results();
+        Ok((stats, FleetTelemetry::from_cores(telemetry)))
     }
 }
 
@@ -330,57 +131,49 @@ mod tests {
     use crate::arbiter::ArbitrationPolicy;
     use crate::error::FleetError;
     use mimo_core::governor::FixedGovernor;
+    use mimo_linalg::Vector;
     use mimo_sim::llc::LlcConfig;
 
     fn fixed_factory() -> impl FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send> {
         |_, _| Box::new(FixedGovernor::new(Vector::from_slice(&[1.3, 6.0])))
     }
 
-    fn small(workers: usize) -> FleetConfig {
+    fn small() -> FleetConfig {
         FleetConfig::new(4)
-            .workers(workers)
             .epochs(80)
             .policy(ArbitrationPolicy::Proportional)
             .seed(7)
     }
 
     #[test]
-    fn identical_stats_regardless_of_worker_count() {
-        let one = FleetRunner::new(small(1), fixed_factory())
-            .unwrap()
-            .run()
-            .unwrap();
-        let two = FleetRunner::new(small(2), fixed_factory())
-            .unwrap()
-            .run()
-            .unwrap();
-        let four = FleetRunner::new(small(4), fixed_factory())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(one, two);
-        assert_eq!(one, four);
-        assert_eq!(one.digest(), two.digest());
-        assert_eq!(one.digest(), four.digest());
-    }
-
-    #[test]
-    fn contended_fleet_is_deterministic_across_worker_counts() {
-        // 1 way/core of budget vs the 6 ways/core the governor holds:
-        // sustained contention, still bit-identical at any worker count.
-        let tight = LlcConfig::for_cores(4).total_ways(4);
-        let run = |workers| {
-            FleetRunner::new(small(workers).llc_contention(tight), fixed_factory())
+    fn reruns_are_bit_identical() {
+        let run = || {
+            FleetRunner::new(small(), fixed_factory())
                 .unwrap()
                 .run()
                 .unwrap()
         };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four);
-        assert_eq!(one.digest(), four.digest());
+        let (one, two) = (run(), run());
+        assert_eq!(one, two);
+        assert_eq!(one.digest(), two.digest());
+    }
+
+    #[test]
+    fn contended_fleet_is_deterministic_and_contention_bites() {
+        // 1 way/core of budget vs the 6 ways/core the governor holds:
+        // sustained contention, still bit-identical run to run.
+        let tight = LlcConfig::for_cores(4).total_ways(4);
+        let run = || {
+            FleetRunner::new(small().llc_contention(tight), fixed_factory())
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let (one, two) = (run(), run());
+        assert_eq!(one, two);
+        assert_eq!(one.digest(), two.digest());
         // And the contention must actually bite.
-        let plain = FleetRunner::new(small(1), fixed_factory())
+        let plain = FleetRunner::new(small(), fixed_factory())
             .unwrap()
             .run()
             .unwrap();
@@ -389,7 +182,7 @@ mod tests {
 
     #[test]
     fn stats_cover_all_cores_and_accumulate_energy() {
-        let stats = FleetRunner::new(small(2), fixed_factory())
+        let stats = FleetRunner::new(small(), fixed_factory())
             .unwrap()
             .run()
             .unwrap();
@@ -408,11 +201,11 @@ mod tests {
 
     #[test]
     fn different_seed_changes_results() {
-        let a = FleetRunner::new(small(1), fixed_factory())
+        let a = FleetRunner::new(small(), fixed_factory())
             .unwrap()
             .run()
             .unwrap();
-        let b = FleetRunner::new(small(1).seed(8), fixed_factory())
+        let b = FleetRunner::new(small().seed(8), fixed_factory())
             .unwrap()
             .run()
             .unwrap();
@@ -422,7 +215,7 @@ mod tests {
 
     #[test]
     fn governor_plant_input_mismatch_rejected() {
-        let cfg = small(1); // FreqCache → 2 inputs
+        let cfg = small(); // FreqCache → 2 inputs
         let err = FleetRunner::new(cfg, |_, _| {
             Box::new(FixedGovernor::new(Vector::from_slice(&[1.3, 6.0, 48.0])))
         });
@@ -432,12 +225,12 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_digest_and_fills_telemetry() {
         use mimo_core::telemetry::TelemetryConfig;
-        let plain = FleetRunner::new(small(2), fixed_factory())
+        let plain = FleetRunner::new(small(), fixed_factory())
             .unwrap()
             .run()
             .unwrap();
         let (traced, telemetry) = FleetRunner::new(
-            small(2).observer(TelemetryConfig::trace(32)),
+            small().observer(TelemetryConfig::trace(32)),
             fixed_factory(),
         )
         .unwrap()
@@ -458,7 +251,7 @@ mod tests {
             assert_eq!(core.summary.unwrap().epochs, 80);
         }
         // Untraced runs return an empty (disabled) telemetry.
-        let (_, empty) = FleetRunner::new(small(1), fixed_factory())
+        let (_, empty) = FleetRunner::new(small(), fixed_factory())
             .unwrap()
             .run_traced()
             .unwrap();
@@ -466,11 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_is_identical_across_worker_counts() {
+    fn telemetry_is_identical_across_reruns() {
         use mimo_core::telemetry::TelemetryConfig;
-        let traced = |workers: usize| {
+        let traced = || {
             FleetRunner::new(
-                small(workers).observer(TelemetryConfig::trace(16)),
+                small().observer(TelemetryConfig::trace(16)),
                 fixed_factory(),
             )
             .unwrap()
@@ -478,12 +271,11 @@ mod tests {
             .unwrap()
             .1
         };
-        let one = traced(1);
-        let four = traced(4);
+        let (one, two) = (traced(), traced());
         // Merged metrics reduce in core order, so the fleet view is
-        // bit-identical no matter how many workers stepped the cores.
-        assert_eq!(one.metrics, four.metrics);
-        for (a, b) in one.per_core.iter().zip(&four.per_core) {
+        // bit-identical run to run.
+        assert_eq!(one.metrics, two.metrics);
+        for (a, b) in one.per_core.iter().zip(&two.per_core) {
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.trace, b.trace);
             assert_eq!(a.quarantine, b.quarantine);
@@ -491,13 +283,13 @@ mod tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         one.write_jsonl(&mut a).unwrap();
-        four.write_jsonl(&mut b).unwrap();
+        two.write_jsonl(&mut b).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_epochs_returns_zeroed_stats() {
-        let stats = FleetRunner::new(small(1).epochs(0), fixed_factory())
+        let stats = FleetRunner::new(small().epochs(0), fixed_factory())
             .unwrap()
             .run()
             .unwrap();

@@ -1,9 +1,10 @@
 //! Chip sharding: whole chips on pool workers, rendezvous only at
 //! exchange windows.
 //!
-//! Unlike the single-chip [`FleetRunner`](crate::FleetRunner), which
-//! synchronizes its workers twice per epoch, the cluster shards
-//! synchronize only every
+//! Shards are the runtime's only parallelism: a chip's own beat
+//! ([`Chip::step_epoch`]) is a few microseconds of serial work, too short
+//! to hand to threads, so the unit dealt to a thread is a whole chip. The
+//! shards synchronize only every
 //! [`exchange_period`](crate::ClusterConfig::exchange_period) chip epochs.
 //! Each window is one batch on the shared persistent
 //! [`WorkerPool`](crate::pool): every shard owns a contiguous run of chips

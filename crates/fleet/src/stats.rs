@@ -62,15 +62,13 @@ pub struct CoreStats {
 ///
 /// Everything except the two wall-clock fields (`wall_s`,
 /// `epochs_per_sec`) is a pure function of the configuration and seeds,
-/// and therefore bit-identical across worker counts; `PartialEq` compares
-/// only the deterministic fields so runs can be checked for reproducibility
-/// directly.
+/// and therefore bit-identical run to run and at any cluster shard count;
+/// `PartialEq` compares only the deterministic fields so runs can be
+/// checked for reproducibility directly.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetStats {
     /// Cores in the fleet.
     pub n_cores: usize,
-    /// Worker threads used.
-    pub workers: usize,
     /// Epochs run.
     pub epochs: usize,
     /// Arbitration policy label.
@@ -110,8 +108,7 @@ pub struct FleetStats {
 
 impl PartialEq for FleetStats {
     fn eq(&self, other: &Self) -> bool {
-        // Everything but wall_s / epochs_per_sec — and workers, which is
-        // *allowed* to differ between runs that must agree.
+        // Everything but the wall-clock fields wall_s / epochs_per_sec.
         self.n_cores == other.n_cores
             && self.epochs == other.epochs
             && self.policy == other.policy
@@ -158,12 +155,10 @@ impl FleetStats {
     /// Assembles whole-fleet statistics from the drained per-core stats and
     /// the arbiter's chip-level accumulators.
     ///
-    /// This is the *single* assembly path — the worker-pool runner and the
-    /// cluster's per-chip drain both call it, so a chip's `FleetStats` is
-    /// bitwise the same arithmetic as a single-chip fleet's.
+    /// Called by [`Chip::into_results`](crate::Chip::into_results), which
+    /// both the fleet runner and the cluster drain go through.
     pub(crate) fn assemble(
         cfg: &FleetConfig,
-        workers: usize,
         epochs: usize,
         arbiter: &BudgetArbiter,
         per_core: Vec<CoreStats>,
@@ -172,7 +167,6 @@ impl FleetStats {
         let nf = per_core.len().max(1) as f64;
         FleetStats {
             n_cores: cfg.n_cores,
-            workers,
             epochs,
             policy: cfg.policy.label().to_string(),
             chip_cap_w: cfg.chip_power_cap_w,
@@ -345,7 +339,6 @@ mod tests {
     fn sample() -> FleetStats {
         FleetStats {
             n_cores: 2,
-            workers: 1,
             epochs: 10,
             policy: "uniform".into(),
             chip_cap_w: 2.4,
@@ -379,12 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_timing_and_workers() {
+    fn equality_ignores_timing() {
         let a = sample();
         let mut b = sample();
         b.wall_s = 99.0;
         b.epochs_per_sec = 1.0;
-        b.workers = 8;
         assert_eq!(a, b);
         let mut c = sample();
         c.energy_j += 1e-9;
@@ -396,7 +388,6 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b.wall_s = 42.0;
-        b.workers = 3;
         assert_eq!(a.digest(), b.digest());
         let mut c = sample();
         c.per_core[0].avg_ips_err_pct += 0.25;
@@ -438,7 +429,6 @@ mod tests {
         b.shards = 8;
         b.wall_s = 99.0;
         b.epochs_per_sec = 1.0;
-        b.per_chip[0].workers = 7;
         b.per_chip[0].wall_s = 3.0;
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());

@@ -5,7 +5,7 @@
 //! never shares telemetry state across threads. When the run ends the
 //! runner drains each core's sink into a [`CoreTelemetry`] and merges the
 //! per-core [`Metrics`] — in core order, so the result is bit-identical no
-//! matter how many workers stepped the fleet.
+//! matter how many shard threads stepped the chips.
 
 use std::fmt::Write as _;
 use std::fs;

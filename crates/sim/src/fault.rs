@@ -20,7 +20,7 @@
 //! short random fault each epoch with probability [`FaultPlan::rate`],
 //! driven by a dedicated seeded RNG. Both are deterministic: the same plan
 //! and seed produce the same fault sequence, epoch for epoch, which is what
-//! lets the fleet runtime keep its bit-identical-across-workers invariant
+//! lets the fleet runtime keep its bit-identical-across-shards invariant
 //! with faults enabled.
 //!
 //! Bit-exactness contract: an injector with an empty schedule and zero

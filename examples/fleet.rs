@@ -1,6 +1,6 @@
 //! Fleet: replicate one synthesized controller across a 16-core chip with a
-//! shared power budget, and show that results do not depend on the worker
-//! count (the README's "Many-core fleets" section, runnable).
+//! shared power budget, then halve the budget and watch the arbiter pull
+//! chip power down (the README's "Many-core fleets" section, runnable).
 //!
 //! ```text
 //! cargo run --release --example fleet
@@ -19,29 +19,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let controller = DesignFlow::two_input().run(&mut plant)?.into_controller();
 
     // 2. Replicate it across 16 cores under a 19.2 W chip cap.
-    let cfg = || {
+    let cfg = |cap_w: f64| {
         FleetConfig::new(16)
             .epochs(1000)
-            .chip_power_cap(19.2)
+            .chip_power_cap(cap_w)
             .policy(ArbitrationPolicy::Proportional)
     };
-    let stats = FleetRunner::with_shared_controller(cfg().workers(4), &controller)?.run()?;
+    let stats = FleetRunner::with_shared_controller(cfg(19.2), &controller)?.run()?;
     println!(
-        "16 cores, 4 workers: chip power {:.2} W avg / {:.2} W peak, \
-         {:.1}% IPS err, {:.0} epochs/s",
+        "16 cores, 19.2 W cap: chip power {:.2} W avg / {:.2} W peak, \
+         {:.1}% IPS err, {:.0} epochs/s, digest {:016x}",
         stats.avg_chip_power_w,
         stats.peak_chip_power_w,
         stats.agg_ips_err_pct,
-        stats.epochs_per_sec
+        stats.epochs_per_sec,
+        stats.digest()
     );
 
-    // 3. Same fleet, one worker: bit-identical science.
-    let serial = FleetRunner::with_shared_controller(cfg().workers(1), &controller)?.run()?;
-    assert_eq!(serial, stats, "results must not depend on the worker count");
+    // 3. Same fleet, half the budget: the arbiter lowers every core's
+    //    references and the LQG loops follow them down.
+    let halved = FleetRunner::with_shared_controller(cfg(9.6), &controller)?.run()?;
+    assert!(
+        halved.avg_chip_power_w < stats.avg_chip_power_w,
+        "halving the cap must lower chip power"
+    );
     println!(
-        "1 worker replay: digest {:016x} == {:016x}, deterministic",
-        serial.digest(),
-        stats.digest()
+        "16 cores,  9.6 W cap: chip power {:.2} W avg / {:.2} W peak, \
+         {:.1}% IPS err",
+        halved.avg_chip_power_w, halved.peak_chip_power_w, halved.agg_ips_err_pct
     );
     Ok(())
 }

