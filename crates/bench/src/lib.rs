@@ -1,1 +1,3 @@
 //! Benchmark-only crate; see the `benches/` directory.
+
+#![forbid(unsafe_code)]

@@ -3,11 +3,12 @@
 //! can print a report with CSV output.
 //!
 //! The per-figure grids — (workload, governor, configuration) cells — run
-//! on the index-ordered [`par_map`] pool: each cell
-//! owns its own seeded plant, seeds are derived from the cell index with
-//! the same formulas the serial code used, and reduction/emission always
-//! walks cells in index order, so every CSV is bit-identical at any
-//! `--jobs` count (and to the historical serial output).
+//! on the index-ordered [`par_map`] (scoped threads, one per `--jobs`
+//! worker): each cell owns its own seeded plant, seeds are derived from
+//! the cell index with the same formulas the serial code used, and
+//! reduction/emission always walks cells in index order, so every CSV is
+//! bit-identical at any `--jobs` count (and to the historical serial
+//! output).
 
 use std::time::Instant;
 
@@ -91,7 +92,7 @@ impl ExpConfig {
         self.apps.clone().unwrap_or_else(production_names)
     }
 
-    /// Fans `items` across the configured worker pool, timing each cell
+    /// Fans `items` across the configured `--jobs` workers, timing each cell
     /// under its label; results (and timing records) come back in cell
     /// order.
     fn grid<T, R, F>(&self, labels: &[String], items: Vec<T>, f: F) -> Vec<R>

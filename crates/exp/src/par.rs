@@ -2,9 +2,9 @@
 //!
 //! The paper's evaluation is an embarrassingly parallel grid — workload ×
 //! governor × configuration cells, each owning its own seeded plant — so
-//! the harness fans cells across the shared persistent worker pool
-//! ([`mimo_fleet::pool::global`]; no external thread-pool dependency, no
-//! per-run thread spawns) and collects results **in cell-index order**.
+//! the harness fans cells across up to `jobs` scoped threads
+//! ([`std::thread::scope`]; no external thread-pool dependency) and
+//! collects results **in cell-index order**.
 //! Determinism falls out of two rules:
 //!
 //! 1. every cell computes from its own index-derived seed, never from
@@ -13,6 +13,7 @@
 //!
 //! Together they make CSVs and digests bit-identical at any job count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable consulted when no `--jobs` flag is given.
@@ -53,20 +54,22 @@ pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, String> {
     }
 }
 
-/// Applies `f` to every item on up to `jobs` shared-pool workers and
-/// returns the results **in item order**, regardless of which worker
-/// finished which cell first.
+/// Applies `f` to every item on up to `jobs` threads and returns the
+/// results **in item order**, regardless of which thread finished which
+/// cell first.
 ///
 /// `jobs <= 1` (or a grid of at most one cell) short-circuits to a plain
 /// serial map on the calling thread — same code path the workers run, no
-/// pool handoff. The pool hands out cell *indices* one at a time, so
-/// stragglers don't stall idle workers the way static chunking would —
-/// and because nested pool submissions execute inline, a cell that itself
-/// runs a fleet (or another `par_map`) cannot deadlock.
+/// thread spawned. Otherwise the caller and `workers − 1` scoped threads
+/// take cell *indices* one at a time from a shared counter, so stragglers
+/// don't stall idle workers the way static chunking would. Every call
+/// owns its threads, so a cell that itself runs a sharded cluster (or
+/// another `par_map`) cannot deadlock.
 ///
 /// # Panics
 ///
-/// A panic inside `f` propagates to the caller once the batch drains.
+/// A panic inside `f` propagates to the caller once every thread has
+/// joined.
 pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -87,7 +90,12 @@ where
     // order no matter the completion order.
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    mimo_fleet::pool::global().run_bounded(n, workers, &|i| {
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
         let item = slots[i]
             .lock()
             .expect("cell slot poisoned")
@@ -95,6 +103,12 @@ where
             .expect("each cell index is claimed exactly once");
         let r = f(i, item);
         *results[i].lock().expect("result slot poisoned") = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -145,15 +159,45 @@ mod tests {
     #[test]
     fn nested_par_map_cannot_deadlock() {
         // A cell that itself fans out — a spec grid whose cells run
-        // fleets, or a harness calling the harness. The shared pool runs
-        // nested submissions inline, so this must complete rather than
-        // wedge on the pool's single batch slot.
+        // clusters, or a harness calling the harness. Each call spawns
+        // and joins its own scoped threads, so the inner maps must
+        // complete rather than wait on the outer map's workers.
         let outer = par_map(4, (0..6).collect::<Vec<usize>>(), |_, x| {
             let inner = par_map(4, (0..5).collect::<Vec<usize>>(), |_, y| x * 10 + y);
             inner.iter().sum::<usize>()
         });
         let expected: Vec<usize> = (0..6).map(|x| (0..5).map(|y| x * 10 + y).sum()).collect();
         assert_eq!(outer, expected);
+    }
+
+    #[test]
+    fn jobs_bound_caps_concurrent_cells() {
+        // `--jobs 2` means at most two cells in flight at once, however
+        // many cells the grid has.
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let got = par_map(2, (0..32).collect::<Vec<usize>>(), |_, x| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            live.fetch_sub(1, Ordering::SeqCst);
+            x
+        });
+        assert_eq!(got, (0..32).collect::<Vec<usize>>());
+        assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn panicking_cell_panics_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            par_map(2, (0..8).collect::<Vec<usize>>(), |_, x| {
+                assert_ne!(x, 3, "cell 3 fails");
+                x
+            })
+        });
+        assert!(result.is_err());
+        // Nothing is left behind: the next grid runs normally.
+        assert_eq!(par_map(2, vec![1, 2, 3], |_, x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]

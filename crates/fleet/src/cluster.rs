@@ -474,14 +474,13 @@ impl ClusterRunner {
     ///
     /// Currently infallible after construction.
     pub fn run_traced(mut self) -> Result<(ClusterStats, ClusterTelemetry)> {
-        let shards = self.cfg.effective_shards();
         let started = Instant::now();
         let outcome = run_sharded(
             &mut self.chips,
             &mut self.arbiter,
             self.cfg.epochs,
             self.cfg.exchange_period,
-            shards,
+            self.cfg.effective_shards(),
         );
         let wall_s = started.elapsed().as_secs_f64();
         let mut per_chip = Vec::with_capacity(self.chips.len());
@@ -493,7 +492,7 @@ impl ClusterRunner {
         }
         let stats = ClusterStats::assemble(
             self.cfg.cluster_power_cap_w,
-            shards,
+            outcome.shards,
             self.cfg.epochs,
             self.cfg.exchange_period,
             outcome.exchanges,
@@ -573,25 +572,40 @@ mod tests {
 
     #[test]
     fn cluster_stats_are_shard_invariant() {
-        let mk = |shards| {
-            ClusterConfig::new(4, 2)
-                .epochs(60)
-                .exchange_period(10)
-                .shards(shards)
-                .llc_contention(LlcConfig::for_cores(2).total_ways(2))
-                .seed(11)
-        };
-        let base = ClusterRunner::new(mk(1), |_, _, _| fixed())
-            .unwrap()
-            .run()
-            .unwrap();
-        for shards in [2, 4] {
-            let other = ClusterRunner::new(mk(shards), |_, _, _| fixed())
+        // An even deal that ends on a full window, and an uneven deal of
+        // 5 chips that ends on a short 5-epoch tail window. Each shard
+        // count is paired with the chunks `chunks_mut(ceil(n / shards))`
+        // actually deals, which the stats must report: 4 chips at 3
+        // shards deal as 2 + 2.
+        let cases = [
+            (4, 60, &[(2, 2), (3, 2), (4, 4)][..]),
+            (5, 65, &[(2, 2), (3, 3)][..]),
+        ];
+        for (n_chips, epochs, shard_counts) in cases {
+            let mk = |shards| {
+                ClusterConfig::new(n_chips, 2)
+                    .epochs(epochs)
+                    .exchange_period(10)
+                    .shards(shards)
+                    .llc_contention(LlcConfig::for_cores(2).total_ways(2))
+                    .seed(11)
+            };
+            let base = ClusterRunner::new(mk(1), |_, _, _| fixed())
                 .unwrap()
                 .run()
                 .unwrap();
-            assert_eq!(base, other, "shards = {shards}");
-            assert_eq!(base.digest(), other.digest(), "shards = {shards}");
+            assert_eq!(base.shards, 1);
+            assert_eq!(base.exchanges, epochs.div_ceil(10) as u64 - 1);
+            for &(shards, dealt) in shard_counts {
+                let other = ClusterRunner::new(mk(shards), |_, _, _| fixed())
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                let what = format!("{n_chips} chips, shards = {shards}");
+                assert_eq!(other.shards, dealt, "{what}");
+                assert_eq!(base, other, "{what}");
+                assert_eq!(base.digest(), other.digest(), "{what}");
+            }
         }
     }
 

@@ -53,6 +53,7 @@
 //! at any shard count, and a cluster of one chip reproduces a single-chip
 //! fleet's golden digests exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arbiter;
@@ -61,7 +62,6 @@ pub mod chip;
 pub mod cluster;
 pub mod config;
 pub mod error;
-pub mod pool;
 pub mod runner;
 mod shard;
 pub mod stats;
@@ -73,7 +73,6 @@ pub use chip::Chip;
 pub use cluster::{ClusterConfig, ClusterRunner};
 pub use config::{default_fleet_apps, CoreSpec, FleetConfig};
 pub use error::{FleetError, Result};
-pub use pool::WorkerPool;
 pub use runner::FleetRunner;
 pub use stats::{ChipSummary, ClusterStats, CoreStats, FleetStats};
 pub use telemetry::{ClusterTelemetry, CoreTelemetry, FleetTelemetry};

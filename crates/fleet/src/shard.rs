@@ -1,4 +1,4 @@
-//! Chip sharding: whole chips on pool workers, rendezvous only at
+//! Chip sharding: whole chips on scoped threads, rendezvous only at
 //! exchange windows.
 //!
 //! Shards are the runtime's only parallelism: a chip's own beat
@@ -6,18 +6,17 @@
 //! to hand to threads, so the unit dealt to a thread is a whole chip. The
 //! shards synchronize only every
 //! [`exchange_period`](crate::ClusterConfig::exchange_period) chip epochs.
-//! Each window is one batch on the shared persistent
-//! [`WorkerPool`](crate::pool): every shard owns a contiguous run of chips
-//! and steps each of them through the whole window back to back — the hot
-//! loop takes no locks beyond the uncontended per-shard mutex. Between
-//! batches the submitting thread gathers the chips' published
+//! Each window is one [`std::thread::scope`]: every shard owns a
+//! contiguous run of chips and steps each of them through the whole
+//! window back to back on its own thread, the calling thread taking the
+//! first shard itself — the hot loop takes no locks. When the scope joins,
+//! the calling thread gathers the chips' published
 //! [`ChipSummary`](crate::ChipSummary) snapshots in chip order, asks the
 //! [`ClusterArbiter`](crate::ClusterArbiter) for fresh per-chip caps, and
 //! installs them. The reduction always runs on one thread in chip order —
 //! which is what keeps [`ClusterStats`](crate::ClusterStats) bit-identical
 //! at any shard count.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::arbiter::ClusterArbiter;
@@ -26,6 +25,9 @@ use crate::stats::ChipSummary;
 
 /// What the sharded run hands back to the cluster runner.
 pub(crate) struct ShardOutcome {
+    /// Shards the chips were dealt into: the number of contiguous chunks,
+    /// which can be fewer than requested when the deal is uneven.
+    pub shards: usize,
     /// Budget exchanges performed (windows minus the final one).
     pub exchanges: u64,
     /// Exchanges that moved at least one chip cap bitwise.
@@ -33,6 +35,19 @@ pub(crate) struct ShardOutcome {
     /// Largest window-mean cluster power observed at any window boundary,
     /// watts (chip-order sum of per-chip window means).
     pub peak_window_power_w: f64,
+}
+
+/// Steps every chip of one shard through a `win_epochs`-epoch window.
+fn step_shard(shard: &mut [Chip], win_epochs: usize) {
+    for chip in shard {
+        // Per-chip wall clock covers stepping only; the gather is the
+        // cluster's overhead.
+        let t0 = Instant::now();
+        for _ in 0..win_epochs {
+            chip.step_epoch();
+        }
+        chip.add_wall(t0.elapsed().as_secs_f64());
+    }
 }
 
 /// Runs `chips` for `epochs` chip epochs, sharded `shards` ways, with a
@@ -56,50 +71,29 @@ pub(crate) fn run_sharded(
     }
     // Window plan: full `period`-epoch windows plus a possibly-shorter
     // tail. Derived from config only, so it cannot depend on timing.
-    let n_windows = epochs
-        .div_ceil(period.max(1))
-        .max(if epochs == 0 { 0 } else { 1 });
-    if n_windows == 0 {
-        return ShardOutcome {
-            exchanges: 0,
-            rebudget_moves: 0,
-            peak_window_power_w: 0.0,
-        };
-    }
+    let n_windows = epochs.div_ceil(period.max(1));
 
     // Contiguous deal: ceil(n/shards) chips per shard, so chip order is
     // preserved within and across shards.
     let chunk = n_chips.div_ceil(shards);
-    let shard_chips: Vec<Mutex<&mut [Chip]>> = chips.chunks_mut(chunk).map(Mutex::new).collect();
-    let pool = crate::pool::global();
     let mut peak_window_power_w = 0.0f64;
     let mut summaries: Vec<ChipSummary> = Vec::with_capacity(n_chips);
     for window in 0..n_windows {
         let win_epochs = (epochs - window * period).min(period);
-        // One pool batch per window: each shard steps its chips through
-        // the whole window back to back.
-        pool.run_bounded(shard_chips.len(), shards, &|si| {
-            let mut shard = shard_chips[si].lock().expect("shard mutex poisoned");
-            for chip in shard.iter_mut() {
-                // Per-chip wall clock covers stepping only; the gather
-                // below is the cluster's overhead.
-                let t0 = Instant::now();
-                for _ in 0..win_epochs {
-                    chip.step_epoch();
-                }
-                chip.add_wall(t0.elapsed().as_secs_f64());
+        // One scope per window: a thread per shard after the first, and
+        // the calling thread steps the first shard itself.
+        std::thread::scope(|s| {
+            let mut deal = chips.chunks_mut(chunk);
+            let first = deal.next().expect("at least one chip");
+            for shard in deal {
+                s.spawn(move || step_shard(shard, win_epochs));
             }
+            step_shard(first, win_epochs);
         });
-        // Exchange on the submitting thread: gather summaries in chip
-        // order (shards hold contiguous runs, so shard-major iteration is
-        // chip order) and reduce.
+        // Exchange on the calling thread: gather summaries in chip order
+        // and reduce.
         summaries.clear();
-        for shard in &shard_chips {
-            let mut shard = shard.lock().expect("shard mutex poisoned");
-            for chip in shard.iter_mut() {
-                summaries.push(chip.publish());
-            }
-        }
+        summaries.extend(chips.iter_mut().map(Chip::publish));
         // Chip-order reduction: the window's cluster power is the sum of
         // per-chip window means.
         let window_power: f64 = summaries.iter().map(|s| s.avg_power_w).sum();
@@ -109,16 +103,14 @@ pub(crate) fn run_sharded(
         // Install the fresh caps before the next window.
         if window + 1 < n_windows {
             let caps = arbiter.rebudget(&summaries);
-            for shard in &shard_chips {
-                let mut shard = shard.lock().expect("shard mutex poisoned");
-                for chip in shard.iter_mut() {
-                    chip.set_power_cap(caps[chip.index()]);
-                }
+            for chip in chips.iter_mut() {
+                chip.set_power_cap(caps[chip.index()]);
             }
         }
     }
 
     ShardOutcome {
+        shards: n_chips.div_ceil(chunk),
         exchanges: arbiter.exchanges(),
         rebudget_moves: arbiter.rebudget_moves(),
         peak_window_power_w,

@@ -208,7 +208,9 @@ pub struct ClusterStats {
     pub n_chips: usize,
     /// Total cores across all chips.
     pub total_cores: usize,
-    /// Shard (worker-thread) count used. Not deterministic-relevant.
+    /// Shards the chips were dealt into: the contiguous chunks actually
+    /// stepped in parallel, which can be fewer than requested (4 chips at
+    /// 3 shards deal as 2 + 2). Not deterministic-relevant.
     pub shards: usize,
     /// Chip epochs each chip ran.
     pub epochs: usize,

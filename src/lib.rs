@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 
 pub use error::{Error, Result};
