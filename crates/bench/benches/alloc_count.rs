@@ -14,8 +14,10 @@ use mimo_core::engine::EpochLoop;
 use mimo_core::governor::MimoGovernor;
 use mimo_core::telemetry::{TelemetryConfig, TelemetrySink};
 use mimo_exp::setup;
+use mimo_fleet::{ArbitrationPolicy, Chip, FleetConfig};
 use mimo_linalg::Vector;
 use mimo_sim::fault::{FaultInjector, FaultPlan};
+use mimo_sim::llc::LlcConfig;
 use mimo_sim::InputSet;
 
 struct CountingAllocator;
@@ -78,6 +80,36 @@ fn main() {
     fixed.step_into(&y, &mut out); // warm
     let static_step_allocs = count(EPOCHS, || fixed.step_into(&y, &mut out));
 
+    // A reference that moves every epoch, as the fleet arbiter's is:
+    // every call pays the steady-state resolve.
+    let mut target = Vector::zeros(2);
+    let mut epoch = 0.0_f64;
+    let mut next_target = |target: &mut Vector| {
+        epoch += 1.0;
+        let s = 0.25 * (0.37 * epoch).sin();
+        target.as_mut_slice().copy_from_slice(&[2.8 + s, 1.9 - s]);
+    };
+    let moving_allocs = count(EPOCHS, || {
+        next_target(&mut target);
+        ctrl.set_reference(&target);
+    });
+    let static_moving_allocs = count(EPOCHS, || {
+        next_target(&mut target);
+        fixed.set_reference(&target);
+    });
+
+    // A deployed-shape chip: 16 banked cores under the proportional
+    // arbiter (every core's target moves every epoch) with shared-LLC
+    // contention. The whole beat — plants, bank, arbiter, LLC, retargets.
+    let cfg = FleetConfig::new(16)
+        .policy(ArbitrationPolicy::Proportional)
+        .llc_contention(LlcConfig::for_cores(16).total_ways(4 * 16));
+    let mut chip = Chip::build_banked(0, cfg, &design.controller).expect("chip");
+    for _ in 0..50 {
+        chip.step_epoch(); // warm: plant phase state, first retargets
+    }
+    let chip_allocs = count(EPOCHS, || chip.step_epoch());
+
     let gov = MimoGovernor::new(design.controller.clone());
     let plant = setup::plant("astar", InputSet::FreqCache, 6);
     let mut lp = EpochLoop::new(gov, plant);
@@ -125,12 +157,15 @@ fn main() {
     let traced = lp.observer().trace.len();
 
     println!("allocations per epoch over {EPOCHS} epochs:");
-    println!("  lqg step (allocating API)   {step_allocs:.3}");
-    println!("  lqg step_into (scratch)     {step_into_allocs:.3}");
-    println!("  lqg step_into (static)      {static_step_allocs:.3}");
-    println!("  engine epoch (gov + plant)  {engine_allocs:.3}");
-    println!("  faulting engine epoch       {faulting_allocs:.3}  ({faulted} epochs faulted)");
-    println!("  observed engine epoch       {observed_allocs:.3}  (ring holds {traced} records)");
+    println!("  lqg step (allocating API)                 {step_allocs:.3}");
+    println!("  lqg step_into (scratch)                   {step_into_allocs:.3}");
+    println!("  lqg step_into (static)                    {static_step_allocs:.3}");
+    println!("  lqg set_reference (moving target)         {moving_allocs:.3}");
+    println!("  lqg set_reference (moving target, static) {static_moving_allocs:.3}");
+    println!("  chip epoch (proportional, 16 cores)       {chip_allocs:.3}");
+    println!("  engine epoch (gov + plant)                {engine_allocs:.3}");
+    println!("  faulting engine epoch                     {faulting_allocs:.3}  ({faulted} epochs faulted)");
+    println!("  observed engine epoch                     {observed_allocs:.3}  (ring holds {traced} records)");
     assert_eq!(
         step_into_allocs, 0.0,
         "scratch step must be allocation-free"
@@ -138,6 +173,18 @@ fn main() {
     assert_eq!(
         static_step_allocs, 0.0,
         "static step must be allocation-free"
+    );
+    assert_eq!(
+        moving_allocs, 0.0,
+        "moving-target retarget must be allocation-free"
+    );
+    assert_eq!(
+        static_moving_allocs, 0.0,
+        "static moving-target retarget must be allocation-free"
+    );
+    assert_eq!(
+        chip_allocs, 0.0,
+        "steady-state chip epoch must be allocation-free"
     );
     assert_eq!(
         engine_allocs, 0.0,

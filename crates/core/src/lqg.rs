@@ -237,8 +237,6 @@ impl LqgDesign {
 /// `I − A` leaves `x_ss` at zero.
 #[derive(Debug, Clone)]
 pub struct SteadyStateSolver {
-    nu: usize,
-    nx: usize,
     /// `Gᵀ Q`; `None` when the DC gain itself failed.
     gtq: Option<Matrix>,
     /// LU of `Gᵀ Q G + λ I`; `None` when the DC gain or the factorization
@@ -268,8 +266,6 @@ impl SteadyStateSolver {
         }
         let i_minus_a = Matrix::identity(n) - design.model.a();
         SteadyStateSolver {
-            nu: i,
-            nx: n,
             gtq: gtq_out,
             lhs_lu,
             ia_lu: LuDecomposition::new(&i_minus_a).ok(),
@@ -279,27 +275,46 @@ impl SteadyStateSolver {
 
     /// Resolves the steady-state operating point for a normalized
     /// reference, writing the clamped `u_ss` and implied `x_ss`.
-    /// Bit-identical to the uncached ridge solve (see the type docs).
+    /// Bit-identical to the uncached ridge solve (see the type docs), and
+    /// allocation-free: the right-hand sides are formed already permuted
+    /// in the output slices and substituted in place.
     pub fn resolve(&self, y_ref_norm: &[f64], u_ss_out: &mut [f64], x_ss_out: &mut [f64]) {
-        let y_ref = Vector::from_slice(y_ref_norm);
-        let u_ss = match (&self.gtq, &self.lhs_lu) {
+        match (&self.gtq, &self.lhs_lu) {
             (Some(gtq), Some(lu)) => {
-                let rhs = gtq * &y_ref.to_col_matrix();
-                lu.solve(&rhs).ok().map(Vector::from)
+                permuted_mul(gtq, lu.perm(), y_ref_norm, u_ss_out);
+                lu.substitute_in_place(u_ss_out);
             }
-            _ => None,
+            _ => u_ss_out.fill(0.0),
         }
-        .unwrap_or_else(|| Vector::zeros(self.nu));
-        let u_ss = u_ss.map(|v| v.clamp(-U_CLAMP, U_CLAMP));
-        u_ss_out.copy_from_slice(u_ss.as_slice());
-        let x_ss = match &self.ia_lu {
-            Some(lu) => lu
-                .solve(&(&self.b * &u_ss.to_col_matrix()))
-                .map(Vector::from)
-                .unwrap_or_else(|_| Vector::zeros(self.nx)),
-            None => Vector::zeros(self.nx),
-        };
-        x_ss_out.copy_from_slice(x_ss.as_slice());
+        for u in u_ss_out.iter_mut() {
+            *u = u.clamp(-U_CLAMP, U_CLAMP);
+        }
+        match &self.ia_lu {
+            Some(lu) => {
+                permuted_mul(&self.b, lu.perm(), u_ss_out, x_ss_out);
+                lu.substitute_in_place(x_ss_out);
+            }
+            None => x_ss_out.fill(0.0),
+        }
+    }
+}
+
+/// Writes `out[i] = Σ_k m[perm[i], k] · v[k]`: the product `m · v` with its
+/// rows permuted, which is the right-hand side [`LuDecomposition::solve`]
+/// substitutes. Accumulates from `0.0` in column order and skips zero
+/// entries of `m`, exactly as `&Matrix * &Matrix` does, so the result is
+/// bit-identical to permuting that product.
+fn permuted_mul(m: &Matrix, perm: &[usize], v: &[f64], out: &mut [f64]) {
+    assert_eq!(v.len(), m.cols(), "permuted_mul: inner dimensions differ");
+    assert_eq!(out.len(), perm.len(), "permuted_mul: output length");
+    for (o, &row) in out.iter_mut().zip(perm) {
+        let mut acc = 0.0;
+        for (&a, &x) in m.row_slice(row).iter().zip(v) {
+            if a != 0.0 {
+                acc += a * x;
+            }
+        }
+        *o = acc;
     }
 }
 
@@ -1096,6 +1111,96 @@ mod tests {
         assert_eq!(ctrl.rt.u_prev.norm_inf(), 0.0);
         ctrl.seed_input(&Vector::from_slice(&[0.5, -0.5]));
         assert!(ctrl.rt.u_prev.norm_inf() > 0.0);
+    }
+
+    /// The uncached ridge solve the [`SteadyStateSolver`] replaces:
+    /// `u_ss = clamp((GᵀQG + λI)⁻¹ GᵀQ y)`, `x_ss = (I − A)⁻¹ B u_ss`,
+    /// each falling back to zero when its solve fails.
+    fn uncached_steady_state(design: &LqgDesign, y: &Vector) -> (Vector, Vector) {
+        let model = &design.model;
+        let (i, n) = (model.num_inputs(), model.state_dim());
+        let u_ss = model
+            .dc_gain()
+            .ok()
+            .and_then(|g| {
+                let gtq = &g.transpose() * &Matrix::diag(&design.output_weights);
+                let gram = &gtq * &g;
+                let lambda = 0.05 * (gram.trace() / i as f64).max(1e-12);
+                let lhs = &gram + &Matrix::identity(i).scale(lambda);
+                lhs.solve(&(&gtq * &y.to_col_matrix())).ok()
+            })
+            .map(Vector::from)
+            .unwrap_or_else(|| Vector::zeros(i))
+            .map(|v| v.clamp(-U_CLAMP, U_CLAMP));
+        let x_ss = (Matrix::identity(n) - model.a())
+            .solve(&(model.b() * &u_ss.to_col_matrix()))
+            .map(Vector::from)
+            .unwrap_or_else(|_| Vector::zeros(n));
+        (u_ss, x_ss)
+    }
+
+    #[test]
+    fn cached_resolve_matches_uncached_solve_bit_for_bit() {
+        // Pivoting `I − A` (its leading entry is the smaller one), the
+        // ill-conditioned shared-direction plant, and the plain test plant.
+        let pivoting = StateSpace::new(
+            Matrix::from_rows(&[&[0.2, 0.9, 0.0], &[1.5, 0.1, 0.0], &[0.0, 0.3, 0.5]]),
+            Matrix::from_rows(&[&[0.5, 0.2], &[0.1, 0.6], &[-0.3, 0.4]]),
+            Matrix::from_rows(&[&[1.0, 0.0, 0.2], &[0.0, 1.0, -0.4]]),
+            Matrix::zeros(2, 2),
+        )
+        .unwrap();
+        let shared = StateSpace::new(
+            Matrix::diag(&[0.5, 0.5]),
+            Matrix::from_rows(&[&[0.5, 0.02], &[0.5, -0.02]]),
+            Matrix::identity(2),
+            Matrix::zeros(2, 2),
+        )
+        .unwrap();
+        let mut clamped = 0;
+        for (model, qw) in [
+            (test_plant(), [10.0, 1000.0]),
+            (shared, [1.0, 400.0]),
+            (pivoting, [3.0, 7.0]),
+        ] {
+            let design = test_design(model, &qw, &[0.01, 0.01]);
+            let solver = SteadyStateSolver::new(&design);
+            let (mut u, mut x) = (vec![0.0; 2], vec![0.0; design.model.state_dim()]);
+            for k in 0..200 {
+                // Normalized references out to ±20, far past what the
+                // ±U_CLAMP inputs can reach.
+                let t = k as f64;
+                let y = Vector::from_slice(&[20.0 * (0.37 * t).sin(), 9.0 * (0.11 * t).cos()]);
+                solver.resolve(y.as_slice(), &mut u, &mut x);
+                let (u_ref, x_ref) = uncached_steady_state(&design, &y);
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&u), bits(u_ref.as_slice()), "u_ss, reference {k}");
+                assert_eq!(bits(&x), bits(x_ref.as_slice()), "x_ss, reference {k}");
+                clamped += u.iter().filter(|v| v.abs() == U_CLAMP).count();
+            }
+        }
+        assert!(clamped > 0, "the sweep must reach the input clamp");
+
+        // A pure integrator makes `I − A` singular: no DC gain, so both
+        // u_ss and x_ss fall back to zero, as in the uncached chain.
+        let integrator = StateSpace::new(
+            Matrix::diag(&[1.0, 0.6]),
+            Matrix::from_rows(&[&[0.5, 0.2], &[0.1, 0.6]]),
+            Matrix::identity(2),
+            Matrix::zeros(2, 2),
+        )
+        .unwrap();
+        let design = test_design(integrator, &[1.0, 1.0], &[0.1, 0.1]);
+        let solver = SteadyStateSolver::new(&design);
+        let (mut u, mut x) = (vec![9.0; 2], vec![9.0; 2]);
+        let y = Vector::from_slice(&[0.8, -0.3]);
+        solver.resolve(y.as_slice(), &mut u, &mut x);
+        let (u_ref, x_ref) = uncached_steady_state(&design, &y);
+        assert_eq!(
+            (u.as_slice(), x.as_slice()),
+            (u_ref.as_slice(), x_ref.as_slice())
+        );
+        assert_eq!((u, x), (vec![0.0; 2], vec![0.0; 2]));
     }
 
     #[test]

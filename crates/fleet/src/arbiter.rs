@@ -161,18 +161,15 @@ impl BudgetArbiter {
     /// returns each core's next `[IPS, power]` targets.
     ///
     /// Deterministic: inputs are indexed by core and every reduction runs
-    /// in core order, so the result is identical no matter how many worker
-    /// threads produced the observations.
+    /// in core order. An allocating wrapper over
+    /// [`BudgetArbiter::arbitrate_into`].
     pub fn arbitrate(&mut self, observed: &[CoreObs]) -> Vec<Vector> {
         self.arbitrate_with_quarantine(observed, &[])
     }
 
     /// Like [`BudgetArbiter::arbitrate`], but pins every quarantined core
-    /// (marked `true` in `quarantined`, indexed by core; an empty slice
-    /// means none) at the floor power target and redistributes the freed
-    /// budget across the healthy cores per the policy. With no quarantined
-    /// cores this evaluates the exact floating-point operations of the
-    /// unmasked path, keeping fault-free runs bit-identical.
+    /// at the floor power target; see [`BudgetArbiter::arbitrate_into`],
+    /// which this wraps with a freshly allocated target table.
     ///
     /// # Panics
     ///
@@ -183,7 +180,32 @@ impl BudgetArbiter {
         observed: &[CoreObs],
         quarantined: &[bool],
     ) -> Vec<Vector> {
+        let mut targets = vec![Vector::zeros(2); self.n_cores()];
+        self.arbitrate_into(observed, quarantined, &mut targets);
+        targets
+    }
+
+    /// Arbitrates one epoch into a caller-owned target table: `out[i]`
+    /// receives core `i`'s next `[IPS, power]` reference, and nothing is
+    /// allocated. Every quarantined core (marked `true` in `quarantined`,
+    /// indexed by core; an empty slice means none) is pinned at the floor
+    /// power target and the freed budget is redistributed across the
+    /// healthy cores per the policy. With no quarantined cores this
+    /// evaluates the exact floating-point operations of the unmasked path,
+    /// keeping fault-free runs bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observed`, `out` (or a non-empty `quarantined`) does not
+    /// have one entry per core, or if an `out` entry is not of length 2.
+    pub fn arbitrate_into(
+        &mut self,
+        observed: &[CoreObs],
+        quarantined: &[bool],
+        out: &mut [Vector],
+    ) {
         assert_eq!(observed.len(), self.n_cores(), "observation count");
+        assert_eq!(out.len(), self.n_cores(), "target table length");
         assert!(
             quarantined.is_empty() || quarantined.len() == self.n_cores(),
             "quarantine mask length"
@@ -220,37 +242,35 @@ impl BudgetArbiter {
         let mut throttled = 0u64;
         if n_quarantined == 0 {
             let weight_sum: f64 = self.priorities.iter().sum();
-            let targets: Vec<Vector> = observed
-                .iter()
-                .enumerate()
-                .map(|(i, obs)| {
-                    let budget = match self.policy {
-                        ArbitrationPolicy::Uniform => self.cap_w / n,
-                        ArbitrationPolicy::Proportional => {
-                            if total > 0.0 {
-                                self.cap_w * obs.power / total
-                            } else {
-                                self.cap_w / n
-                            }
+            for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
+                let budget = match self.policy {
+                    ArbitrationPolicy::Uniform => self.cap_w / n,
+                    ArbitrationPolicy::Proportional => {
+                        if total > 0.0 {
+                            self.cap_w * obs.power / total
+                        } else {
+                            self.cap_w / n
                         }
-                        ArbitrationPolicy::PriorityWeighted => {
-                            self.cap_w * self.priorities[i] / weight_sum
-                        }
-                    };
-                    // A core never asks for more than its nominal target; under
-                    // pressure it is throttled toward (but not below) the floor.
-                    let p_target = budget.clamp(floor, base_power);
-                    if p_target < base_power {
-                        throttled += 1;
                     }
-                    // Performance references scale with the granted power share
-                    // so the local loop chases a consistent (IPS, P) pair.
-                    let ips_target = base_ips * (p_target / base_power);
-                    Vector::from_slice(&[ips_target, p_target])
-                })
-                .collect();
+                    ArbitrationPolicy::PriorityWeighted => {
+                        self.cap_w * self.priorities[i] / weight_sum
+                    }
+                };
+                // A core never asks for more than its nominal target; under
+                // pressure it is throttled toward (but not below) the floor.
+                let p_target = budget.clamp(floor, base_power);
+                if p_target < base_power {
+                    throttled += 1;
+                }
+                // Performance references scale with the granted power share
+                // so the local loop chases a consistent (IPS, P) pair.
+                let ips_target = base_ips * (p_target / base_power);
+                target
+                    .as_mut_slice()
+                    .copy_from_slice(&[ips_target, p_target]);
+            }
             self.throttle_events += throttled;
-            return targets;
+            return;
         }
 
         // Degraded mode: quarantined cores are pinned at the floor (their
@@ -271,37 +291,34 @@ impl BudgetArbiter {
             .filter(|&(i, _)| !is_q(i))
             .map(|(_, &w)| w)
             .sum();
-        let targets: Vec<Vector> = observed
-            .iter()
-            .enumerate()
-            .map(|(i, obs)| {
-                let p_target = if is_q(i) || healthy_n == 0 {
-                    floor
-                } else {
-                    let budget = match self.policy {
-                        ArbitrationPolicy::Uniform => healthy_cap / healthy_n as f64,
-                        ArbitrationPolicy::Proportional => {
-                            if healthy_total > 0.0 {
-                                healthy_cap * obs.power / healthy_total
-                            } else {
-                                healthy_cap / healthy_n as f64
-                            }
+        for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
+            let p_target = if is_q(i) || healthy_n == 0 {
+                floor
+            } else {
+                let budget = match self.policy {
+                    ArbitrationPolicy::Uniform => healthy_cap / healthy_n as f64,
+                    ArbitrationPolicy::Proportional => {
+                        if healthy_total > 0.0 {
+                            healthy_cap * obs.power / healthy_total
+                        } else {
+                            healthy_cap / healthy_n as f64
                         }
-                        ArbitrationPolicy::PriorityWeighted => {
-                            healthy_cap * self.priorities[i] / healthy_weight_sum
-                        }
-                    };
-                    budget.clamp(floor, base_power)
+                    }
+                    ArbitrationPolicy::PriorityWeighted => {
+                        healthy_cap * self.priorities[i] / healthy_weight_sum
+                    }
                 };
-                if p_target < base_power {
-                    throttled += 1;
-                }
-                let ips_target = base_ips * (p_target / base_power);
-                Vector::from_slice(&[ips_target, p_target])
-            })
-            .collect();
+                budget.clamp(floor, base_power)
+            };
+            if p_target < base_power {
+                throttled += 1;
+            }
+            let ips_target = base_ips * (p_target / base_power);
+            target
+                .as_mut_slice()
+                .copy_from_slice(&[ips_target, p_target]);
+        }
         self.throttle_events += throttled;
-        targets
     }
 }
 

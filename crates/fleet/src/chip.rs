@@ -238,6 +238,9 @@ pub struct Chip {
     obs: Vec<CoreObs>,
     quarantined: Vec<bool>,
     ways: Vec<f64>,
+    /// The arbiter's per-core target table, rewritten in place every
+    /// epoch so the beat allocates nothing.
+    targets: Vec<Vector>,
     epochs_run: usize,
     /// Cluster-window accumulators, drained by [`Chip::publish`]. These
     /// feed only the cluster layer — never the per-core science — so the
@@ -344,6 +347,7 @@ impl Chip {
             ],
             quarantined: vec![false; n],
             ways: vec![0.0; n],
+            targets: vec![Vector::zeros(2); n],
             epochs_run: 0,
             win_power_sum: 0.0,
             win_ips_sum: 0.0,
@@ -410,9 +414,8 @@ impl Chip {
                 self.ways[cell.idx] = cell.applied_l2_ways();
             }
         }
-        let targets = self
-            .arbiter
-            .arbitrate_with_quarantine(&self.obs, &self.quarantined);
+        self.arbiter
+            .arbitrate_into(&self.obs, &self.quarantined, &mut self.targets);
         if let Some(llc) = &mut self.llc {
             llc.update(&self.ways);
         }
@@ -420,7 +423,7 @@ impl Chip {
         self.win_power_sum += self.arbiter.last_chip_power_w();
         self.win_ips_sum += self.obs.iter().map(|o| o.ips).sum::<f64>();
         self.win_epochs += 1;
-        for (cell, target) in self.cells.iter_mut().zip(&targets) {
+        for (cell, target) in self.cells.iter_mut().zip(&self.targets) {
             match (self.bank.as_mut(), self.bank_slots[cell.idx]) {
                 (Some(bank), Some(slot)) => {
                     // The bank owns the controller runtime while the core

@@ -5,8 +5,9 @@
 //! structure-of-arrays path: a counting `#[global_allocator]` wraps the
 //! system allocator, the bank is warmed up (including one screened
 //! failure so the restore stack owns its capacity), and then full
-//! load → step → decide epochs — with unchanged-reference retargets and
-//! occasional screened measurements — must not move the counter.
+//! load → step → decide epochs — each retargeting every slot to a new
+//! reference, which re-solves its steady state, plus occasional screened
+//! measurements — must not move the counter.
 //!
 //! Everything runs from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -130,8 +131,11 @@ fn banked_epoch_hot_path_is_allocation_free() {
         }
     }
 
-    // The steady-state window: full epochs, unchanged-reference
-    // retargets, and a screened failure mid-window — all allocation-free.
+    // The steady-state window: full epochs, a retarget of every slot to
+    // a reference that moves every epoch (so each one pays the
+    // steady-state resolve), and a screened failure mid-window — all
+    // allocation-free.
+    let mut target = base.clone();
     assert_alloc_free("banked epochs", || {
         for epoch in 8..40 {
             for slot in 0..n {
@@ -151,7 +155,11 @@ fn banked_epoch_hot_path_is_allocation_free() {
                 }
             }
             for slot in 0..n {
-                bank.set_target(slot, &base);
+                let [ips, power] = y_of(slot, epoch);
+                target
+                    .as_mut_slice()
+                    .copy_from_slice(&[0.6 + 0.5 * ips, 0.4 + power]);
+                bank.set_target(slot, &target);
             }
         }
     });

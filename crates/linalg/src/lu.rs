@@ -175,8 +175,60 @@ impl LuDecomposition {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_vec(&self, b: &Vector) -> Result<Vector> {
-        let x = self.solve(&b.to_col_matrix())?;
-        Ok(Vector::from(x))
+        let n = self.dim();
+        if b.len() != n {
+            return Err(LinalgError::ShapeMismatch {
+                op: "lu_solve",
+                lhs: (n, n),
+                rhs: (b.len(), 1),
+            });
+        }
+        let b = b.as_slice();
+        let mut x = Vector::from_fn(n, |i| b[self.perm[i]]);
+        self.substitute_in_place(x.as_mut_slice());
+        Ok(x)
+    }
+
+    /// Row permutation `P` of `P * A = L * U`: `perm()[i]` is the original
+    /// row index now in row `i`.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// Single-column forward and backward substitution, in place.
+    ///
+    /// On entry `x` holds the permuted right-hand side `P * b` (entry `i`
+    /// is `b[perm()[i]]`); on return it holds the solution of `A * x = b`.
+    /// The operation sequence is exactly [`LuDecomposition::solve`]'s for
+    /// one column, so the two agree bit for bit, and nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn substitute_in_place(&self, x: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(x.len(), n, "lu_substitute: rhs length");
+        // Forward substitution (L has implicit unit diagonal).
+        for k in 0..n {
+            let v = x[k];
+            for (i, xi) in x.iter_mut().enumerate().skip(k + 1) {
+                let l = self.lu[(i, k)];
+                if l != 0.0 {
+                    *xi -= l * v;
+                }
+            }
+        }
+        // Backward substitution.
+        for k in (0..n).rev() {
+            x[k] /= self.lu[(k, k)];
+            let v = x[k];
+            for (i, xi) in x.iter_mut().enumerate().take(k) {
+                let u = self.lu[(i, k)];
+                if u != 0.0 {
+                    *xi -= u * v;
+                }
+            }
+        }
     }
 
     /// Computes the inverse of the original matrix.
@@ -287,6 +339,32 @@ mod tests {
         let x = lu.solve_vec(&b).unwrap();
         let back = a.mul_vec(&x).unwrap();
         assert!((&back - &b).norm_inf() < 1e-12);
+    }
+
+    #[test]
+    fn solve_vec_matches_single_column_solve_bit_for_bit() {
+        // Zero leading entry and a small second pivot: the factorization
+        // must swap rows, so the permuted right-hand side is exercised.
+        let a = Matrix::from_rows(&[
+            &[0.0, 2.0, -1.0, 0.5],
+            &[1e-3, 0.3, 4.0, -2.0],
+            &[3.0, -1.0, 0.7, 1.1],
+            &[-2.5, 0.9, 0.0, 6.0],
+        ]);
+        let lu = LuDecomposition::new(&a).unwrap();
+        assert_ne!(lu.perm(), &[0, 1, 2, 3], "matrix must need pivoting");
+        for seed in 0..16 {
+            let b = Vector::from_fn(4, |i| ((seed * 7 + i * 13) % 11) as f64 / 3.0 - 1.7);
+            let col = lu.solve(&b.to_col_matrix()).unwrap();
+            let x = lu.solve_vec(&b).unwrap();
+            for i in 0..4 {
+                assert_eq!(x[i].to_bits(), col[(i, 0)].to_bits(), "seed {seed} row {i}");
+            }
+        }
+        assert!(matches!(
+            lu.solve_vec(&Vector::zeros(3)),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
