@@ -223,9 +223,10 @@ fn bench_fleet(c: &mut Criterion) {
     c.bench_function("fleet/16_cores_50_epochs_dynamic", |b| {
         b.iter(|| {
             let cfg = mimo_fleet::FleetConfig::new(16).epochs(50).seed(11);
-            let runner =
-                mimo_fleet::FleetRunner::with_shared_controller_dynamic(cfg, &design.controller)
-                    .unwrap();
+            let runner = mimo_fleet::FleetRunner::new(cfg, |_, _| {
+                Box::new(MimoGovernor::new(design.controller.clone()))
+            })
+            .unwrap();
             black_box(runner.run().unwrap().digest())
         })
     });

@@ -10,7 +10,7 @@
 //! mimo-exp run <spec.toml> [FLAGS]     execute a scenario spec
 //! mimo-exp validate <path>...          check specs without running them
 //! mimo-exp schema                      print the spec key reference
-//! mimo-exp [SUBCOMMAND] [FLAGS]        alias / suite / bench
+//! mimo-exp [SUBCOMMAND] [FLAGS]        alias / suite
 //! ```
 //!
 //! With no subcommand the full suite runs. Grid cells fan out across
@@ -19,13 +19,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mimo_exp::experiments::ExpConfig;
 use mimo_exp::par;
 use mimo_exp::report::ResultsDir;
-use mimo_exp::spec::{self, RunOverrides};
-use mimo_exp::timing::TimingSink;
+use mimo_exp::spec::{self, PaperExperiment, RunOverrides, RunSpec, Scenario};
 
 const USAGE: &str = "\
 mimo-exp — reproduce the paper's evaluation from declarative scenario specs
@@ -54,13 +52,8 @@ SUBCOMMANDS:
     cluster-fault  spec-only scenario: mid-run chip fault on a cluster
     cluster-bank  spec-only scenario: banked cluster with a mid-run bank
                  eviction, pinned to the per-cell digest
-    bench        time the LQG step and a 16-core fleet sweep on the
-                 dynamic and static storage paths, plus banked vs
-                 per-cell fleet/cluster stepping (64×64 cluster); writes
-                 BENCH_controller.json and BENCH_fleet.json to the
-                 results directory
 
-    Every non-bench subcommand is an alias for `run` on the embedded copy
+    Every subcommand but `all` is an alias for `run` on the embedded copy
     of the matching specs/<name>.toml file.
 
 FLAGS:
@@ -70,11 +63,9 @@ FLAGS:
                   host's available parallelism, or the MIMO_JOBS env var;
                   N >= 1 — results are bit-identical at any job count)
     --out DIR     directory CSVs land in (default: nearest results/)
-    --timing      record per-subcommand and per-cell wall-clock into
-                  BENCH_harness.json in the results directory (for
-                  cluster-scale this includes per-chip stepping time)
-    --shards N    cluster specs only: pin the shard count; the CSV is
-                  byte-identical at any value (CI diffs them)
+    --shards N    cluster specs and cluster-scale only: pin the shard
+                  count; the CSV is byte-identical at any value (CI diffs
+                  them)
     --trace PATH  fault-sweep only: write a JSONL epoch trace of the
                   sweep's most eventful run (per-core ring-buffer sinks)
     -h, --help    print this help
@@ -88,15 +79,29 @@ struct Cli {
     epochs: Option<usize>,
     jobs: Option<usize>,
     out: Option<String>,
-    timing: bool,
     shards: Option<usize>,
     trace: Option<String>,
 }
 
+const TRACE_MISUSE: &str = "--trace is only meaningful with fault-sweep (or run on its spec)";
+const SHARDS_MISUSE: &str =
+    "--shards is only meaningful with cluster specs (cluster-scale, cluster-fault, cluster-bank, \
+     or run on one of their specs)";
+
 /// Subcommands that resolve to an embedded spec, i.e. everything except
-/// `run`/`validate`/`schema`/`all`/`bench`.
+/// `run`/`validate`/`schema`/`all`.
 fn is_alias(cmd: &str) -> bool {
     spec::embedded::by_alias(cmd).is_some()
+}
+
+/// Parses a flag value that must be a positive integer.
+fn positive(flag: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse::<usize>() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag} needs a positive integer, got {v:?}")),
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -106,7 +111,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         epochs: None,
         jobs: None,
         out: None,
-        timing: false,
         shards: None,
         trace: None,
     };
@@ -115,13 +119,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-h" | "--help" => return Err(String::new()),
-            "--epochs" => {
-                let v = it.next().ok_or("--epochs needs a value")?;
-                cli.epochs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--epochs needs a positive integer, got {v:?}"))?,
-                );
-            }
+            "--epochs" => cli.epochs = Some(positive("--epochs", it.next())?),
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
                 cli.jobs = Some(
@@ -132,17 +130,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--out" => {
                 cli.out = Some(it.next().ok_or("--out needs a directory")?.clone());
             }
-            "--timing" => cli.timing = true,
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--shards needs a positive integer, got {v:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                cli.shards = Some(n);
-            }
+            "--shards" => cli.shards = Some(positive("--shards", it.next())?),
             "--trace" => {
                 cli.trace = Some(it.next().ok_or("--trace needs a path")?.clone());
             }
@@ -159,7 +147,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             extra => return Err(format!("unexpected argument {extra:?}")),
         }
     }
-    let known = ["all", "run", "validate", "schema", "bench"];
+    let known = ["all", "run", "validate", "schema"];
     if !known.contains(&cli.command.as_str()) && !is_alias(&cli.command) {
         return Err(format!("unknown subcommand {:?}", cli.command));
     }
@@ -172,21 +160,35 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
         _ => {}
     }
-    let trace_ok = matches!(cli.command.as_str(), "fault-sweep" | "run");
-    if cli.trace.is_some() && !trace_ok {
-        return Err("--trace is only meaningful with fault-sweep (or run on its spec)".into());
-    }
-    let shards_ok = matches!(
-        cli.command.as_str(),
-        "cluster-scale" | "cluster-fault" | "cluster-bank" | "run"
-    );
-    if cli.shards.is_some() && !shards_ok {
-        return Err(
-            "--shards is only meaningful with cluster specs (cluster-scale, cluster-fault, or run)"
-                .into(),
-        );
+    // Whether a single-spec command uses the flags is checked once its
+    // spec is loaded (`check_flags`); every other command never does.
+    if cli.command != "run" && !is_alias(&cli.command) {
+        if cli.trace.is_some() {
+            return Err(TRACE_MISUSE.into());
+        }
+        if cli.shards.is_some() {
+            return Err(SHARDS_MISUSE.into());
+        }
     }
     Ok(cli)
+}
+
+/// Rejects `--trace` and `--shards` on a spec whose run would ignore them.
+/// This lives in the CLI, not in `run_spec`, because invariance re-runs
+/// set the shard override on any paper spec.
+fn check_flags(s: &RunSpec, ov: &RunOverrides) -> Result<(), String> {
+    let traceable = matches!(s.scenario, Scenario::Paper(PaperExperiment::FaultSweep));
+    if ov.trace.is_some() && !traceable {
+        return Err(format!("{TRACE_MISUSE}, not spec {:?}", s.name));
+    }
+    let shardable = matches!(
+        s.scenario,
+        Scenario::Cluster(_) | Scenario::Paper(PaperExperiment::ClusterScale)
+    );
+    if ov.shards.is_some() && !shardable {
+        return Err(format!("{SHARDS_MISUSE}, not spec {:?}", s.name));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -227,9 +229,6 @@ fn main() -> ExitCode {
         Some(dir) => ResultsDir::new(dir.clone()),
         None => ResultsDir::discover(),
     };
-    if cli.timing {
-        cfg.timing = TimingSink::enabled();
-    }
     if let Some(n) = cli.epochs {
         cfg.tracking_epochs = n;
     }
@@ -239,50 +238,33 @@ fn main() -> ExitCode {
         trace: cli.trace.clone(),
     };
 
-    let start = Instant::now();
     let failures = match cli.command.as_str() {
         "all" => run_all(&cfg, cli.epochs),
-        "bench" => {
-            let r = cfg.timing.subcommand("bench", || run_bench(&cfg));
-            collect_failure("bench", r)
-        }
-        "run" => {
-            let path = PathBuf::from(&cli.paths[0]);
-            match spec::load(&path) {
-                Ok(s) => {
-                    let name = s.name.clone();
-                    let r = cfg
-                        .timing
-                        .subcommand(&name, || spec::run_spec(&cfg, &s, &overrides));
-                    collect_failure(&name, r)
+        cmd => {
+            let loaded = if cmd == "run" {
+                spec::load(Path::new(&cli.paths[0]))
+            } else {
+                embedded_spec(cmd)
+            };
+            let s = match loaded {
+                Ok(s) => s,
+                Err(msg) => {
+                    eprintln!("error: {cmd} failed: {msg}");
+                    return ExitCode::FAILURE;
                 }
-                Err(msg) => vec![("run".to_string(), msg)],
+            };
+            if let Err(msg) = check_flags(&s, &overrides) {
+                eprintln!("error: {msg}\n\n{USAGE}");
+                return ExitCode::FAILURE;
             }
-        }
-        alias => {
-            let r = cfg
-                .timing
-                .subcommand(alias, || run_alias(&cfg, alias, &overrides));
-            collect_failure(alias, r)
+            let name = if cmd == "run" { s.name.as_str() } else { cmd };
+            collect_failure(name, spec::run_spec(&cfg, &s, &overrides))
         }
     };
-    let wall_s = start.elapsed().as_secs_f64();
 
     let (hits, misses) = cfg.cache.stats();
     if hits + misses > 0 {
         println!("design cache: {hits} hits, {misses} misses");
-    }
-    if cfg.timing.is_enabled() {
-        let doc = cfg
-            .timing
-            .render_json(cfg.jobs, cfg.tracking_epochs, wall_s, hits, misses);
-        match cfg.results.write_text("BENCH_harness.json", &doc) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: could not write BENCH_harness.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if failures.is_empty() {
@@ -295,15 +277,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Resolves a subcommand alias to its embedded spec and runs it. The
-/// embedded copies are pinned byte-identical to the `specs/` files by
-/// test, so this is exactly `mimo-exp run specs/<name>.toml`.
-fn run_alias(cfg: &ExpConfig, alias: &str, ov: &RunOverrides) -> Result<(), String> {
+/// Resolves a subcommand alias to its embedded spec. The embedded copies
+/// are pinned byte-identical to the `specs/` files by test, so running it
+/// is exactly `mimo-exp run specs/<name>.toml`.
+fn embedded_spec(alias: &str) -> Result<RunSpec, String> {
     let embedded = spec::embedded::by_alias(alias)
         .ok_or_else(|| format!("no embedded spec for alias {alias:?}"))?;
-    let s = spec::parse_str(embedded.text)
-        .map_err(|e| format!("embedded {} is invalid: {e}", embedded.path))?;
-    spec::run_spec(cfg, &s, ov)
+    spec::parse_str(embedded.text)
+        .map_err(|e| format!("embedded {} is invalid: {e}", embedded.path))
 }
 
 /// `mimo-exp validate <path>...`: parses, validates, and lowers every
@@ -405,55 +386,11 @@ fn run_all(cfg: &ExpConfig, epochs: Option<usize>) -> Vec<(String, String)> {
     };
     for (name, title) in steps {
         println!("### {title}");
-        if let Err(msg) = cfg.timing.subcommand(name, || run_alias(cfg, name, &ov)) {
+        if let Err(msg) = embedded_spec(name).and_then(|s| spec::run_spec(cfg, &s, &ov)) {
             eprintln!("error: {name} failed: {msg} (continuing)");
             failures.push((name.to_string(), msg));
         }
     }
     println!("done; CSVs in {}", cfg.results.path().display());
     failures
-}
-
-fn run_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let b = mimo_exp::bench::run()?;
-    println!(
-        "lqg step: {:.0} ns dynamic, {:.0} ns static ({:.2}x)",
-        b.lqg_step_dynamic_ns,
-        b.lqg_step_static_ns,
-        b.step_speedup()
-    );
-    println!(
-        "fleet 16c/50e: {:.2} ms dynamic, {:.2} ms static ({:.2}x)",
-        b.fleet_epoch_dynamic_ms,
-        b.fleet_epoch_static_ms,
-        b.fleet_speedup()
-    );
-    let doc = mimo_exp::bench::render_json(&b);
-    let path = cfg
-        .results
-        .write_text("BENCH_controller.json", &doc)
-        .map_err(|e| format!("write BENCH_controller.json: {e}"))?;
-    println!("wrote {}", path.display());
-
-    let f = mimo_exp::bench::run_fleet()?;
-    println!(
-        "fleet 16c/50e: {:.2} ms per-cell, {:.2} ms banked ({:.2}x), {} host cpus",
-        f.fleet_per_cell_ms,
-        f.fleet_banked_ms,
-        f.fleet_speedup(),
-        f.host_cpus
-    );
-    println!(
-        "cluster 64x64 (4096 governors): {:.0} us/epoch per-cell, {:.0} us/epoch banked ({:.2}x)",
-        f.cluster_per_cell_epoch_us,
-        f.cluster_banked_epoch_us,
-        f.cluster_speedup()
-    );
-    let doc = mimo_exp::bench::render_fleet_json(&f);
-    let path = cfg
-        .results
-        .write_text("BENCH_fleet.json", &doc)
-        .map_err(|e| format!("write BENCH_fleet.json: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }

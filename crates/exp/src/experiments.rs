@@ -10,8 +10,6 @@
 //! bit-identical at any `--jobs` count (and to the historical serial
 //! output).
 
-use std::time::Instant;
-
 use mimo_core::design::DesignFlow;
 use mimo_core::governor::{Governor, MimoGovernor};
 use mimo_core::heuristic::{HeuristicOptimizer, HeuristicTracker};
@@ -29,7 +27,6 @@ use crate::report::{self, Comparison, ResultsDir};
 use crate::runner::{
     run_optimization, run_schedule, run_self_directed, run_tracking, ScheduleTrace, TrackingStats,
 };
-use crate::timing::TimingSink;
 use crate::{setup, TARGET_IPS, TARGET_POWER};
 
 /// Experiment sizing knobs; `full()` reproduces the paper-scale runs,
@@ -55,8 +52,6 @@ pub struct ExpConfig {
     pub cache: DesignCache,
     /// Where CSVs and other artifacts land.
     pub results: ResultsDir,
-    /// Wall-clock recorder for `--timing` (disabled by default).
-    pub timing: TimingSink,
 }
 
 impl ExpConfig {
@@ -72,7 +67,6 @@ impl ExpConfig {
             jobs: 1,
             cache: DesignCache::new(),
             results: ResultsDir::discover(),
-            timing: TimingSink::disabled(),
         }
     }
 
@@ -90,31 +84,6 @@ impl ExpConfig {
 
     fn app_list(&self) -> Vec<&'static str> {
         self.apps.clone().unwrap_or_else(production_names)
-    }
-
-    /// Fans `items` across the configured `--jobs` workers, timing each cell
-    /// under its label; results (and timing records) come back in cell
-    /// order.
-    fn grid<T, R, F>(&self, labels: &[String], items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        debug_assert_eq!(labels.len(), items.len());
-        let timed = par_map(self.jobs, items, |i, t| {
-            let start = Instant::now();
-            let r = f(i, t);
-            (r, start.elapsed().as_secs_f64())
-        });
-        timed
-            .into_iter()
-            .enumerate()
-            .map(|(i, (r, wall_s))| {
-                self.timing.record_cell(&labels[i], wall_s);
-                r
-            })
-            .collect()
     }
 }
 
@@ -159,7 +128,7 @@ pub fn fig06(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig06Point>> {
         .iter()
         .map(|ws| format!("fig06/{}", ws.label))
         .collect();
-    let points = cfg.grid(&labels, cells, |i, ws| -> mimo_core::Result<Fig06Point> {
+    let points = par_map(cfg.jobs, cells, |i, ws| -> mimo_core::Result<Fig06Point> {
         let label = ws.label.clone();
         // Figure 6 studies raw weight choices: design without the RSA loop
         // so bad choices show their true (possibly non-convergent) colors.
@@ -366,7 +335,7 @@ pub fn fig08(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig08Point>> {
         .iter()
         .map(|(label, _, _)| format!("fig08/design/{label}"))
         .collect();
-    let designs = cfg.grid(&design_labels, specs.to_vec(), |i, (_, gb, weight_div)| {
+    let designs = par_map(cfg.jobs, specs.to_vec(), |i, (_, gb, weight_div)| {
         let mut flow = DesignFlow::two_input();
         flow.input_weight_scale /= weight_div;
         let mut training = setup::training_plants(InputSet::FreqCache, cfg.seed);
@@ -390,7 +359,7 @@ pub fn fig08(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig08Point>> {
         .iter()
         .map(|&(d, k)| format!("fig08/{}/{}", specs[d].0, apps[k]))
         .collect();
-    let runs = cfg.grid(&labels, cells, |i, (d, k)| {
+    let runs = par_map(cfg.jobs, cells, |i, (d, k)| {
         let mut gov = MimoGovernor::new(designs[d].controller.clone());
         let mut plant = setup::try_plant(apps[k], InputSet::FreqCache, cfg.seed + 60 + k as u64)
             .map_err(|e| cell_err(&labels[i], e))?;
@@ -527,7 +496,7 @@ pub fn optimization_experiment(
             )
         })
         .collect();
-    let products = cfg.grid(&labels, cells, |i, (k, a)| -> mimo_core::Result<f64> {
+    let products = par_map(cfg.jobs, cells, |i, (k, a)| -> mimo_core::Result<f64> {
         let seed = cfg.seed + 1000 + k as u64;
         let mut plant =
             setup::try_plant(apps[k], input_set, seed).map_err(|e| cell_err(&labels[i], e))?;
@@ -682,8 +651,8 @@ pub fn fig11(cfg: &ExpConfig) -> mimo_core::Result<Fig11Result> {
         .iter()
         .map(|&(k, a)| format!("fig11/{}/{}", apps[k], ARCHS[a]))
         .collect();
-    let errs = cfg.grid(
-        &labels,
+    let errs = par_map(
+        cfg.jobs,
         cells,
         |i, (k, a)| -> mimo_core::Result<(f64, f64)> {
             let seed = cfg.seed + 2000 + k as u64;
@@ -855,8 +824,8 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
         .iter()
         .map(|&(k, arch)| format!("fig12/{}/{arch}", APPS[k]))
         .collect();
-    let runs = cfg.grid(
-        &labels,
+    let runs = par_map(
+        cfg.jobs,
         cells,
         |i, (k, arch)| -> mimo_core::Result<Fig12Run> {
             let app = APPS[k];
@@ -978,7 +947,7 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
             .collect();
         // No wall-clock columns in the CSV: results files must be
         // bit-identical across runs, hosts, and job counts (CI diffs
-        // them), so throughput goes to stdout and BENCH_harness.json.
+        // them), so throughput goes to stdout only.
         let path = cfg.results.write_csv(
             "fleet_scale.csv",
             &[
@@ -1077,20 +1046,9 @@ pub fn cluster_scale(
                 // default), so contention coupling is actually exercised.
                 .llc_contention(LlcConfig::for_cores(cores).total_ways(4 * cores))
                 .seed(cfg.seed);
-            let started = Instant::now();
             let stats = mimo_fleet::ClusterRunner::with_shared_controller(ccfg, &design.controller)
                 .and_then(mimo_fleet::ClusterRunner::run)
                 .map_err(|e| cell_err(&label, e))?;
-            cfg.timing
-                .record_cell(&label, started.elapsed().as_secs_f64());
-            // Per-chip stepping wall-clock (rendezvous waits excluded) —
-            // recorded under --timing, never written to the CSV.
-            if cfg.timing.is_enabled() {
-                for (i, chip) in stats.per_chip.iter().enumerate() {
-                    cfg.timing
-                        .record_cell(&format!("{label}/chip{i}"), chip.wall_s);
-                }
-            }
             digests.push((s, stats.digest()));
             if first.is_none() {
                 first = Some(stats);
@@ -1126,7 +1084,7 @@ pub fn cluster_scale(
             .collect();
         // No shards or wall-clock columns: the file must be byte-identical
         // no matter which shard count produced it (CI diffs --shards 1/2/4
-        // outputs directly); per-chip wall goes to BENCH_harness.json.
+        // outputs directly).
         let path = cfg.results.write_csv(
             "cluster_scale.csv",
             &[

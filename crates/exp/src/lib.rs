@@ -36,22 +36,21 @@
 //!
 //! Shared flags: `--epochs N` resizes tracking runs, `--out DIR` redirects
 //! the CSVs, `--jobs N` (or `MIMO_JOBS`) sets the grid worker count —
-//! results are bit-identical at any value — `--timing` writes
-//! `BENCH_harness.json`, `--shards N` pins a cluster spec's shard count,
-//! and `--trace PATH` (fault-sweep only) writes a JSONL epoch trace
-//! drained from per-core telemetry sinks.
+//! results are bit-identical at any value — `--shards N` pins a cluster
+//! spec's shard count, and `--trace PATH` (fault-sweep only) writes a
+//! JSONL epoch trace drained from per-core telemetry sinks. The CLI
+//! writes no timing files; the separate `perfbench` package measures.
 //!
 //! The library half holds the pieces the CLI shares with integration
 //! tests: the scenario spec layer ([`spec`]), controller construction
 //! ([`setup`]), the memoized design cache ([`cache`]), the deterministic
 //! parallel grid ([`par`]), the epoch-loop drivers and metrics
-//! ([`runner`]), the battery/QoE reference schedule ([`qoe`]), wall-clock
-//! instrumentation ([`timing`]), and CSV / table output ([`report`]).
+//! ([`runner`]), the battery/QoE reference schedule ([`qoe`]), and CSV /
+//! table output ([`report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod experiments;
 pub mod par;
@@ -60,7 +59,6 @@ pub mod report;
 pub mod runner;
 pub mod setup;
 pub mod spec;
-pub mod timing;
 
 /// The fixed tracking targets of §VII-B1. The paper uses 2.5 BIPS / 2 W,
 /// chosen by a design-space exploration so the IPS target is aggressive —

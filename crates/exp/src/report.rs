@@ -43,7 +43,8 @@ impl ResultsDir {
         self.0.join(name)
     }
 
-    /// Writes a CSV file with a header row into the results directory.
+    /// Writes a CSV file with a header row into the results directory,
+    /// creating it if needed.
     ///
     /// # Errors
     ///
@@ -61,19 +62,9 @@ impl ResultsDir {
             out.push_str(&row.join(","));
             out.push('\n');
         }
-        self.write_text(name, &out)
-    }
-
-    /// Writes a text artifact (e.g. `BENCH_harness.json`) into the
-    /// results directory, creating it if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_text(&self, name: &str, contents: &str) -> io::Result<PathBuf> {
         fs::create_dir_all(&self.0)?;
         let path = self.0.join(name);
-        fs::write(&path, contents)?;
+        fs::write(&path, out)?;
         Ok(path)
     }
 }

@@ -166,19 +166,33 @@ fn schema_subcommand_prints_the_reference() {
 
 #[test]
 fn flag_and_positional_misuse_is_rejected_with_usage() {
-    let cases: &[&[&str]] = &[
-        &["run"],                         // no spec path
-        &["run", "a.toml", "b.toml"],     // two spec paths
-        &["validate"],                    // no paths
-        &["fig06", "--shards", "2"],      // --shards outside cluster specs
-        &["fig07", "--trace", "t.jsonl"], // --trace outside fault-sweep
-        &["warp-drive"],                  // unknown subcommand
-    ];
-    for args in cases {
-        let out = bin().args(*args).output().expect("spawn");
+    let spec = |name: &str| repo_specs().join(name).display().to_string();
+    let trace = std::env::temp_dir().join(format!("mimo-spec-cli-{}.jsonl", std::process::id()));
+    let trace = trace.display().to_string();
+    let cases: Vec<Vec<String>> = [
+        vec!["run"],                                            // no spec path
+        vec!["run", "a.toml", "b.toml"],                        // two spec paths
+        vec!["validate"],                                       // no paths
+        vec!["fig06", "--shards", "2"],                         // --shards outside cluster specs
+        vec!["fig07", "--trace", "t.jsonl"],                    // --trace outside fault-sweep
+        vec!["all", "--shards", "2"],                           // --shards on the whole suite
+        vec!["run", &spec("fig06.toml"), "--trace", &trace],    // run, not fault-sweep
+        vec!["run", &spec("fig06.toml"), "--shards", "2"],      // run, not a cluster spec
+        vec!["run", &spec("phase_step.toml"), "--shards", "2"], // loop spec
+        vec!["fig06", "--epochs", "0"],                         // epochs must be positive
+        vec!["warp-drive"],                                     // unknown subcommand
+        vec!["bench"],                                          // retired subcommand
+        vec!["fig06", "--timing"],                              // retired flag
+    ]
+    .into_iter()
+    .map(|args| args.into_iter().map(String::from).collect())
+    .collect();
+    for args in &cases {
+        let out = bin().args(args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} unexpectedly succeeded");
         let err = stderr_of(&out);
         assert!(err.contains("error:"), "{args:?} gave no error:\n{err}");
         assert!(err.contains("USAGE"), "{args:?} gave no usage:\n{err}");
     }
+    assert!(!Path::new(&trace).exists(), "rejected run wrote {trace}");
 }

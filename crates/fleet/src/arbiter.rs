@@ -190,9 +190,9 @@ impl BudgetArbiter {
     /// allocated. Every quarantined core (marked `true` in `quarantined`,
     /// indexed by core; an empty slice means none) is pinned at the floor
     /// power target and the freed budget is redistributed across the
-    /// healthy cores per the policy. With no quarantined cores this
-    /// evaluates the exact floating-point operations of the unmasked path,
-    /// keeping fault-free runs bit-identical.
+    /// healthy cores per the policy. With no quarantined cores every
+    /// healthy-only quantity equals its whole-chip value bit for bit, so
+    /// fault-free runs match an unmasked arbitration exactly.
     ///
     /// # Panics
     ///
@@ -210,7 +210,6 @@ impl BudgetArbiter {
             quarantined.is_empty() || quarantined.len() == self.n_cores(),
             "quarantine mask length"
         );
-        let n = self.n_cores() as f64;
         let [base_ips, base_power] = self.base_targets;
         let floor = MIN_TARGET_FRACTION * base_power;
         let is_q = |i: usize| quarantined.get(i).copied().unwrap_or(false);
@@ -220,15 +219,11 @@ impl BudgetArbiter {
         // in the observation table is a stale last-good reading. Chip power
         // accounting substitutes the pinned floor target for those cores;
         // with nothing quarantined this is the plain sum, bit for bit.
-        let total: f64 = if n_quarantined == 0 {
-            observed.iter().map(|o| o.power).sum()
-        } else {
-            observed
-                .iter()
-                .enumerate()
-                .map(|(i, o)| if is_q(i) { floor } else { o.power })
-                .sum()
-        };
+        let total: f64 = observed
+            .iter()
+            .enumerate()
+            .map(|(i, o)| if is_q(i) { floor } else { o.power })
+            .sum();
         self.epochs += 1;
         self.power_sum += total;
         self.last_power = total;
@@ -239,43 +234,11 @@ impl BudgetArbiter {
             self.violations += 1;
         }
 
-        let mut throttled = 0u64;
-        if n_quarantined == 0 {
-            let weight_sum: f64 = self.priorities.iter().sum();
-            for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
-                let budget = match self.policy {
-                    ArbitrationPolicy::Uniform => self.cap_w / n,
-                    ArbitrationPolicy::Proportional => {
-                        if total > 0.0 {
-                            self.cap_w * obs.power / total
-                        } else {
-                            self.cap_w / n
-                        }
-                    }
-                    ArbitrationPolicy::PriorityWeighted => {
-                        self.cap_w * self.priorities[i] / weight_sum
-                    }
-                };
-                // A core never asks for more than its nominal target; under
-                // pressure it is throttled toward (but not below) the floor.
-                let p_target = budget.clamp(floor, base_power);
-                if p_target < base_power {
-                    throttled += 1;
-                }
-                // Performance references scale with the granted power share
-                // so the local loop chases a consistent (IPS, P) pair.
-                let ips_target = base_ips * (p_target / base_power);
-                target
-                    .as_mut_slice()
-                    .copy_from_slice(&[ips_target, p_target]);
-            }
-            self.throttle_events += throttled;
-            return;
-        }
-
-        // Degraded mode: quarantined cores are pinned at the floor (their
-        // fallback governors should coast, not chase an aggressive target)
-        // and the budget they free up is shared among the healthy cores.
+        // Quarantined cores are pinned at the floor (their fallback
+        // governors should coast, not chase an aggressive target) and the
+        // budget they free up is shared among the healthy cores. With none
+        // quarantined, `healthy_cap` is the cap, `healthy_n` the core count
+        // and the filtered sums the plain sums, bit for bit.
         let healthy_n = self.n_cores() - n_quarantined;
         let healthy_cap = (self.cap_w - n_quarantined as f64 * floor).max(0.0);
         let healthy_total: f64 = observed
@@ -291,6 +254,7 @@ impl BudgetArbiter {
             .filter(|&(i, _)| !is_q(i))
             .map(|(_, &w)| w)
             .sum();
+        let mut throttled = 0u64;
         for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
             let p_target = if is_q(i) || healthy_n == 0 {
                 floor
@@ -308,11 +272,15 @@ impl BudgetArbiter {
                         healthy_cap * self.priorities[i] / healthy_weight_sum
                     }
                 };
+                // A core never asks for more than its nominal target; under
+                // pressure it is throttled toward (but not below) the floor.
                 budget.clamp(floor, base_power)
             };
             if p_target < base_power {
                 throttled += 1;
             }
+            // Performance references scale with the granted power share so
+            // the local loop chases a consistent (IPS, P) pair.
             let ips_target = base_ips * (p_target / base_power);
             target
                 .as_mut_slice()

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use mimo_core::governor::{Governor, MimoGovernor};
+use mimo_core::governor::Governor;
 use mimo_core::lqg::LqgController;
 
 use crate::chip::Chip;
@@ -78,17 +78,6 @@ impl FleetRunner {
             chip: Chip::build_banked(0, cfg, ctrl)?,
             epochs,
         })
-    }
-
-    /// Like [`FleetRunner::with_shared_controller`], but pins every core to
-    /// the dynamic heap-backed storage. Exists for benchmarking the
-    /// static-vs-dynamic gap; science results are bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetRunner::new`].
-    pub fn with_shared_controller_dynamic(cfg: FleetConfig, ctrl: &LqgController) -> Result<Self> {
-        FleetRunner::new(cfg, |_, _| Box::new(MimoGovernor::new(ctrl.clone())))
     }
 
     /// Number of cores in the fleet.
