@@ -29,7 +29,7 @@
 //!   steps through; its hot path is allocation-free.
 //! * [`telemetry`] — allocation-free epoch tracing and metrics behind the
 //!   [`Observer`] API: ring-buffer traces, typed
-//!   counters/histograms, and JSONL/CSV exporters that drain outside the
+//!   counters/histograms, and a JSONL exporter that drains outside the
 //!   hot loop.
 //! * [`design`] — the Figure 3 design flow: identify → weight → synthesize
 //!   → validate → guardband → RSA, end to end against a live plant.

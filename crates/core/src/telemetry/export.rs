@@ -1,4 +1,4 @@
-//! Trace exporters: JSONL and CSV writers that drain outside the hot loop.
+//! Trace exporter: JSONL writers that drain outside the hot loop.
 //!
 //! The hot loop only ever appends to the ring buffer; serialization
 //! happens after the run (or between runs), when a driver drains the ring
@@ -65,53 +65,6 @@ pub fn write_jsonl<W: Write>(w: &mut W, records: &[EpochRecord]) -> io::Result<(
     Ok(())
 }
 
-/// Writes records as CSV with a header row. Channel columns are padded to
-/// the widest record in the batch; narrower records leave the extra
-/// columns empty.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_csv<W: Write>(w: &mut W, records: &[EpochRecord]) -> io::Result<()> {
-    let n_u = records.iter().map(|r| r.n_inputs).max().unwrap_or(0);
-    let n_y = records.iter().map(|r| r.n_outputs).max().unwrap_or(0);
-    let mut line = String::from("epoch,core,health,cause");
-    for i in 0..n_u {
-        let _ = write!(line, ",u{i}");
-    }
-    for i in 0..n_y {
-        let _ = write!(line, ",y{i}");
-    }
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
-    for rec in records {
-        line.clear();
-        let _ = write!(line, "{},", rec.epoch);
-        if let Some(core) = rec.core {
-            let _ = write!(line, "{core}");
-        }
-        let _ = write!(line, ",{},", rec.health.as_str());
-        if let Some(cause) = rec.cause {
-            line.push_str(cause.as_str());
-        }
-        for i in 0..n_u {
-            line.push(',');
-            if let Some(v) = rec.inputs().get(i) {
-                let _ = write!(line, "{v}");
-            }
-        }
-        for i in 0..n_y {
-            line.push(',');
-            if let Some(v) = rec.outputs().get(i) {
-                let _ = write!(line, "{v}");
-            }
-        }
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    Ok(())
-}
-
 /// Writes records as JSON Lines to a file, creating parent directories.
 ///
 /// # Errors
@@ -166,27 +119,7 @@ mod tests {
             "{\"type\":\"epoch\",\"core\":3,\"epoch\":1,\"u\":[1.3,6],\"y\":[2.5,1.875],\
              \"health\":\"degraded\",\"cause\":\"non_finite_measurement\"}"
         );
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_record() {
-        let mut out = Vec::new();
-        write_csv(&mut out, &records()).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "epoch,core,health,cause,u0,u1,y0,y1");
-        assert_eq!(lines[1], "0,,healthy,,1.3,6,2.5,1.875");
-        assert_eq!(
-            lines[2],
-            "1,3,degraded,non_finite_measurement,1.3,6,2.5,1.875"
-        );
-    }
-
-    #[test]
-    fn empty_batch_writes_header_only() {
-        let mut out = Vec::new();
-        write_csv(&mut out, &[]).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), "epoch,core,health,cause\n");
+        // An empty batch writes nothing at all.
         let mut out = Vec::new();
         write_jsonl(&mut out, &[]).unwrap();
         assert!(out.is_empty());

@@ -118,78 +118,16 @@ impl Histogram {
     }
 }
 
-/// A log₂-bucketed histogram for nanosecond latencies: bucket *i* holds
-/// samples in `[2^i, 2^(i+1))` ns (bucket 0 holds 0–1 ns). Fixed 64-bucket
-/// storage, so recording never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Log2Histogram {
-    counts: [u64; 64],
-    count: u64,
-    max_ns: u64,
-}
-
-impl Log2Histogram {
-    /// An empty latency histogram.
-    pub fn new() -> Self {
-        Log2Histogram {
-            counts: [0; 64],
-            count: 0,
-            max_ns: 0,
-        }
-    }
-
-    /// Records one latency sample in nanoseconds.
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros()).saturating_sub(1) as usize;
-        self.counts[bucket.min(63)] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Folds `other` into `self` (pure integer addition — commutative).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Per-bucket counts (bucket *i* covers `[2^i, 2^(i+1))` ns).
-    pub fn bucket_counts(&self) -> &[u64; 64] {
-        &self.counts
-    }
-
-    /// Largest latency seen, in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram::new()
-    }
-}
-
 /// IPS histogram range (BIPS): generous enough for every catalog plant.
 const IPS_RANGE: (f64, f64, usize) = (0.0, 6.0, 48);
 /// Power histogram range (watts).
 const POWER_RANGE: (f64, f64, usize) = (0.0, 6.0, 48);
 
 /// Aggregated epoch metrics: health counters, per-cause fault counters,
-/// and IPS/power/latency distributions.
+/// and IPS/power distributions.
 ///
-/// Everything except `epoch_latency_ns` is a pure function of the epoch
-/// records, so merged metrics are worker-count-independent; wall-clock
-/// latency is inherently nondeterministic and is excluded from any
-/// determinism claim.
+/// Every field is a pure function of the epoch records, so merged metrics
+/// are worker-count-independent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Epochs recorded.
@@ -206,9 +144,6 @@ pub struct Metrics {
     pub ips: Histogram,
     /// Distribution of measured power (output channel 1), watts.
     pub power: Histogram,
-    /// Distribution of wall-clock epoch-to-epoch latency, nanoseconds
-    /// (only populated when timing is enabled; nondeterministic).
-    pub epoch_latency_ns: Log2Histogram,
 }
 
 impl Metrics {
@@ -222,7 +157,6 @@ impl Metrics {
             faults_by_cause: [0; CauseCode::COUNT],
             ips: Histogram::new(IPS_RANGE.0, IPS_RANGE.1, IPS_RANGE.2),
             power: Histogram::new(POWER_RANGE.0, POWER_RANGE.1, POWER_RANGE.2),
-            epoch_latency_ns: Log2Histogram::new(),
         }
     }
 
@@ -256,7 +190,6 @@ impl Metrics {
         }
         self.ips.merge(&other.ips);
         self.power.merge(&other.power);
-        self.epoch_latency_ns.merge(&other.epoch_latency_ns);
     }
 }
 
@@ -311,27 +244,6 @@ mod tests {
         let mut a = Histogram::new(0.0, 4.0, 8);
         let b = Histogram::new(0.0, 4.0, 4);
         a.merge(&b);
-    }
-
-    #[test]
-    fn log2_histogram_buckets_powers_of_two() {
-        let mut h = Log2Histogram::new();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(1023); // bucket 9
-        h.record(1024); // bucket 10
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_counts()[0], 2);
-        assert_eq!(h.bucket_counts()[1], 1);
-        assert_eq!(h.bucket_counts()[9], 1);
-        assert_eq!(h.bucket_counts()[10], 1);
-        assert_eq!(h.max_ns(), 1024);
-        let mut other = Log2Histogram::new();
-        other.record(u64::MAX); // top bucket, no overflow
-        h.merge(&other);
-        assert_eq!(h.bucket_counts()[63], 1);
-        assert_eq!(h.max_ns(), u64::MAX);
     }
 
     #[test]

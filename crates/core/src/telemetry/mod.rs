@@ -22,13 +22,10 @@
 //!
 //! The batteries-included observer is [`TelemetrySink`]: a fixed-capacity
 //! [`RingTrace`] of recent records plus [`Metrics`] (health counters,
-//! per-cause fault counters, IPS/power/latency histograms). Everything it
-//! touches per epoch is fixed-size, so steady-state epochs stay
-//! allocation-free with telemetry attached; serialization happens after
-//! the run via the export writers ([`write_jsonl`], [`write_csv`],
-//! [`save_jsonl`]).
-
-use std::time::Instant;
+//! per-cause fault counters, IPS/power histograms). Everything it touches
+//! per epoch is fixed-size, so steady-state epochs stay allocation-free
+//! with telemetry attached; serialization happens after the run via the
+//! JSONL writers ([`write_jsonl`], [`save_jsonl`]).
 
 use crate::engine::EpochError;
 
@@ -37,8 +34,8 @@ mod metrics;
 mod record;
 mod ring;
 
-pub use export::{record_to_json, save_jsonl, write_csv, write_jsonl};
-pub use metrics::{Histogram, Log2Histogram, Metrics};
+pub use export::{record_to_json, save_jsonl, write_jsonl};
+pub use metrics::{Histogram, Metrics};
 pub use record::{CauseCode, EpochRecord, Health, MAX_CHANNELS};
 pub use ring::RingTrace;
 
@@ -220,10 +217,6 @@ pub struct TelemetryConfig {
     /// Ring-buffer capacity for the per-loop epoch trace (0 = metrics
     /// only, no trace).
     pub trace_capacity: usize,
-    /// Whether to sample wall-clock epoch-to-epoch latency into
-    /// [`Metrics::epoch_latency_ns`]. Off by default: latency is
-    /// nondeterministic and excluded from bit-identity comparisons.
-    pub time_epochs: bool,
 }
 
 impl TelemetryConfig {
@@ -232,7 +225,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             trace_capacity: 0,
-            time_epochs: false,
         }
     }
 
@@ -241,19 +233,12 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: true,
             trace_capacity: capacity,
-            time_epochs: false,
         }
     }
 
     /// Telemetry enabled with metrics only (no per-epoch trace).
     pub fn metrics_only() -> Self {
         TelemetryConfig::trace(0)
-    }
-
-    /// Enables wall-clock epoch latency sampling (builder style).
-    pub fn timed(mut self) -> Self {
-        self.time_epochs = true;
-        self
     }
 }
 
@@ -265,8 +250,8 @@ impl Default for TelemetryConfig {
 
 /// The standard observer: ring trace + metrics + quarantine capture.
 ///
-/// Per-epoch work is bounded and allocation-free: one ring slot write,
-/// a handful of counter increments, and (optionally) one `Instant::now`.
+/// Per-epoch work is bounded and allocation-free: one ring slot write
+/// and a handful of counter increments.
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
     /// Recent epoch records, oldest overwritten first.
@@ -277,34 +262,22 @@ pub struct TelemetrySink {
     pub quarantine: Option<QuarantineEvent>,
     /// End-of-run summary, populated by [`Observer::on_run_end`].
     pub summary: Option<RunSummary>,
-    time_epochs: bool,
-    last_epoch_at: Option<Instant>,
 }
 
 impl TelemetrySink {
-    /// Builds a sink per `cfg` (ring capacity, latency sampling).
+    /// Builds a sink per `cfg` (ring capacity).
     pub fn new(cfg: &TelemetryConfig) -> Self {
         TelemetrySink {
             trace: RingTrace::with_capacity(cfg.trace_capacity),
             metrics: Metrics::new(),
             quarantine: None,
             summary: None,
-            time_epochs: cfg.time_epochs,
-            last_epoch_at: None,
         }
     }
 }
 
 impl Observer for TelemetrySink {
     fn on_epoch(&mut self, record: &EpochRecord) {
-        if self.time_epochs {
-            let now = Instant::now();
-            if let Some(prev) = self.last_epoch_at {
-                let ns = u64::try_from(now.duration_since(prev).as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.epoch_latency_ns.record(ns);
-            }
-            self.last_epoch_at = Some(now);
-        }
         self.metrics.record(record);
         self.trace.push(*record);
     }
@@ -387,20 +360,5 @@ mod tests {
         sink.on_quarantine(&EpochError { epoch: 9, ..err });
         assert_eq!(sink.metrics.quarantines, 2);
         assert_eq!(sink.quarantine.unwrap().epoch, 2);
-    }
-
-    #[test]
-    fn timed_sink_samples_latency() {
-        let mut sink = TelemetrySink::new(&TelemetryConfig::metrics_only().timed());
-        for e in 0..5 {
-            sink.on_epoch(&record(e, Health::Healthy, None));
-        }
-        // 5 epochs → 4 inter-epoch gaps.
-        assert_eq!(sink.metrics.epoch_latency_ns.count(), 4);
-        // Untimed sinks sample nothing.
-        let mut cold = TelemetrySink::new(&TelemetryConfig::metrics_only());
-        cold.on_epoch(&record(0, Health::Healthy, None));
-        cold.on_epoch(&record(1, Health::Healthy, None));
-        assert_eq!(cold.metrics.epoch_latency_ns.count(), 0);
     }
 }

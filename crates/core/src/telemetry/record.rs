@@ -29,7 +29,7 @@ pub enum Health {
 }
 
 impl Health {
-    /// Stable lowercase label used by the JSONL/CSV exporters.
+    /// Stable lowercase label used by the JSONL exporter.
     pub fn as_str(&self) -> &'static str {
         match self {
             Health::Healthy => "healthy",
@@ -68,7 +68,7 @@ impl CauseCode {
         }
     }
 
-    /// Stable snake_case label used by the JSONL/CSV exporters.
+    /// Stable snake_case label used by the JSONL exporter.
     pub fn as_str(&self) -> &'static str {
         match self {
             CauseCode::NonFiniteMeasurement => "non_finite_measurement",

@@ -3,9 +3,9 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up the test drives the allocation-free paths — the scratch-based
-//! LQG/Kalman updates, the unchanged-reference `set_reference` fast path,
-//! and a full `EpochLoop` epoch over the real `Processor` plant — and
-//! asserts the counter does not move.
+//! LQG/Kalman updates, `set_reference` with an unchanged and with a
+//! moving target, and a full `EpochLoop` epoch over the real `Processor`
+//! plant — and asserts the counter does not move.
 //!
 //! Everything is exercised from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -171,6 +171,29 @@ fn steady_state_epoch_allocates_nothing() {
         );
         assert_eq!(u_fixed[1].to_bits(), u_out[1].to_bits());
     }
+
+    // --- set_reference with a target that moves every epoch --------------
+    // The fleet arbiter's cadence: every call pays the steady-state
+    // resolve, on both storages.
+    let mut target = Vector::zeros(2);
+    let mut epoch = 0.0_f64;
+    let mut next_target = |target: &mut Vector| {
+        epoch += 1.0;
+        let s = 0.25 * (0.37 * epoch).sin();
+        target.as_mut_slice().copy_from_slice(&[2.5 + s, 2.0 - s]);
+    };
+    assert_alloc_free("moving-target set_reference", || {
+        for _ in 0..1000 {
+            next_target(&mut target);
+            ctrl.set_reference(&target);
+        }
+    });
+    assert_alloc_free("static moving-target set_reference", || {
+        for _ in 0..1000 {
+            next_target(&mut target);
+            fixed.set_reference(&target);
+        }
+    });
 
     // --- A full EpochLoop epoch over the real processor plant -----------
     let plant = ProcessorBuilder::new()

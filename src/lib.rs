@@ -22,7 +22,7 @@
 //!
 //! The [`telemetry`] facade re-exports the observability layer
 //! (`mimo_core::telemetry`): the [`telemetry::Observer`] trait, the
-//! ring-buffer [`telemetry::TelemetrySink`], and the JSONL/CSV exporters,
+//! ring-buffer [`telemetry::TelemetrySink`], and the JSONL trace exporter,
 //! so application code can trace an epoch loop without naming the core
 //! crate directly.
 //!
