@@ -44,10 +44,10 @@ SUBCOMMANDS:
     fig11        Figure 11: tracking-error scatter
     fig12        Figure 12: time-varying (QoE/battery) tracking
     tab-opt      §VIII-F text: E and E×D² reductions
-    fleet-scale  fleet sizes N ∈ {1,4,16,64} under one chip budget
+    fleet-scale  one-chip clusters of N ∈ {1,4,16,64} cores under the chip budget
     cluster-scale  chips × cores-per-chip under one datacenter budget,
                  sharded chip-parallel with shared-LLC contention
-    fault-sweep  fault rate × arbitration policy on a 16-core fleet
+    fault-sweep  fault rate × arbitration policy on a 16-core chip
     phase-step   spec-only scenario: stepped power/QoE reference schedule
     cluster-fault  spec-only scenario: mid-run chip fault on a cluster
     cluster-bank  spec-only scenario: banked cluster with a mid-run bank
@@ -346,46 +346,21 @@ fn collect_failure(name: &str, r: Result<(), String>) -> Vec<(String, String)> {
     }
 }
 
-/// The complete evaluation suite: every embedded spec in the historical
-/// figure order, then the spec-only scenarios. A failing step is
-/// reported and the rest of the suite still runs, so one bad cell costs
-/// one figure, not the whole evaluation.
+/// The complete evaluation suite: every embedded spec, in
+/// [`EMBEDDED`](spec::embedded::EMBEDDED) order (the paper figures, then
+/// the spec-only scenarios). A failing step is reported and the rest of
+/// the suite still runs, so one bad cell costs one figure, not the whole
+/// evaluation.
 fn run_all(cfg: &ExpConfig, epochs: Option<usize>) -> Vec<(String, String)> {
     let mut failures = Vec::new();
-    let steps: &[(&str, &str)] = &[
-        ("fig06", "Figure 6 — weight sensitivity"),
-        ("fig07", "Figure 7 — model dimension"),
-        ("fig08", "Figure 8 — uncertainty guardbands"),
-        ("fig11", "Figure 11 — tracking multiple references"),
-        ("fig12", "Figure 12 — time-varying tracking"),
-        ("fig09", "Figure 9 — E×D, 2 inputs"),
-        ("fig10", "Figure 10 — E×D, 3 inputs"),
-        ("tab-opt", "§VIII-F — E and E×D²"),
-        (
-            "fleet-scale",
-            "Fleet scaling — chip-budgeted many-core runtime",
-        ),
-        (
-            "cluster-scale",
-            "Cluster scaling — hierarchical multi-chip runtime",
-        ),
-        (
-            "phase-step",
-            "Scenario — stepped reference schedule (spec-only)",
-        ),
-        ("cluster-fault", "Scenario — mid-run chip fault (spec-only)"),
-        (
-            "cluster-bank",
-            "Scenario — banked cluster, mid-run bank eviction (spec-only)",
-        ),
-    ];
     let ov = RunOverrides {
         epochs,
         shards: None,
         trace: None,
     };
-    for (name, title) in steps {
-        println!("### {title}");
+    for embedded in &spec::embedded::EMBEDDED {
+        let name = embedded.alias;
+        println!("### {name} ({})", embedded.path);
         if let Err(msg) = embedded_spec(name).and_then(|s| spec::run_spec(cfg, &s, &ov)) {
             eprintln!("error: {name} failed: {msg} (continuing)");
             failures.push((name.to_string(), msg));

@@ -903,8 +903,8 @@ pub struct FleetScalePoint {
 
 /// Sweeps fleet sizes N ∈ {1, 4, 16, 64}, all cores running clones of a
 /// single synthesized two-input MIMO controller under a proportional
-/// chip-power arbiter. Each fleet is one chip stepped serially, so the
-/// CSV is a pure function of the seed and epoch count.
+/// chip-power arbiter. Each fleet is a one-chip cluster stepped serially,
+/// so the CSV is a pure function of the seed and epoch count.
 ///
 /// # Errors
 ///
@@ -917,12 +917,11 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
     let mut points = Vec::new();
     for &n in &[1usize, 4, 16, 64] {
         let label = format!("fleet-scale/n{n}");
-        let fleet_cfg = mimo_fleet::FleetConfig::new(n)
+        let chip_cfg = mimo_fleet::ClusterConfig::new(1, n)
             .epochs(epochs)
             .seed(cfg.seed);
-        let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-            .and_then(mimo_fleet::FleetRunner::run)
-            .map_err(|e| cell_err(&label, e))?;
+        let (stats, _) =
+            run_one_chip(chip_cfg, &design.controller).map_err(|e| cell_err(&label, e))?;
         let digest = stats.digest();
         points.push(FleetScalePoint { stats, digest });
     }
@@ -945,9 +944,8 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
                 ]
             })
             .collect();
-        // No wall-clock columns in the CSV: results files must be
-        // bit-identical across runs, hosts, and job counts (CI diffs
-        // them), so throughput goes to stdout only.
+        // No wall-clock columns: results files must be bit-identical
+        // across runs, hosts, and job counts (CI diffs them).
         let path = cfg.results.write_csv(
             "fleet_scale.csv",
             &[
@@ -966,19 +964,20 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
         if let Ok(p) = path {
             println!("wrote {}", p.display());
         }
-        let cmp: Vec<Comparison> = points
-            .iter()
-            .map(|p| {
-                Comparison::new(
-                    &format!("N={} throughput", p.stats.n_cores),
-                    "-",
-                    &format!("{} epochs/s", report::fmt(p.stats.epochs_per_sec, 0)),
-                )
-            })
-            .collect();
-        println!("{}", report::comparison_table("Fleet scaling", &cmp));
     }
     Ok(points)
+}
+
+/// Runs a one-chip cluster — the single-chip deployment — with every core
+/// running a clone of `ctrl`, and returns that chip's statistics and
+/// telemetry.
+fn run_one_chip(
+    cfg: mimo_fleet::ClusterConfig,
+    ctrl: &mimo_core::lqg::LqgController,
+) -> mimo_fleet::Result<(mimo_fleet::FleetStats, mimo_fleet::FleetTelemetry)> {
+    let (mut stats, mut tele) =
+        mimo_fleet::ClusterRunner::with_shared_controller(cfg, ctrl)?.run_traced()?;
+    Ok((stats.per_chip.swap_remove(0), tele.per_chip.swap_remove(0)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,7 +1147,7 @@ pub fn cluster_scale(
 // ---------------------------------------------------------------------------
 
 /// One fault-sweep data point: a transient fault rate × arbitration policy
-/// combination on a 16-core fleet.
+/// combination on a 16-core chip.
 #[derive(Debug, Clone)]
 pub struct FaultSweepPoint {
     /// Per-epoch transient fault probability injected on every core.
@@ -1158,8 +1157,8 @@ pub struct FaultSweepPoint {
 }
 
 /// Sweeps transient fault rates × arbitration policies on a 16-core MIMO
-/// fleet and reports how tracking error, quarantine counts, and throughput
-/// degrade as the fault process intensifies.
+/// chip (a one-chip cluster) and reports how tracking error and
+/// quarantine counts degrade as the fault process intensifies.
 ///
 /// The zero-rate column doubles as a regression anchor: it must quarantine
 /// nothing and fault no epochs, because a zero rate leaves the fault
@@ -1201,19 +1200,17 @@ pub fn fault_sweep_traced(
     let mut last_telemetry = None;
     for &rate in &rates {
         for &policy in &policies {
-            let mut fleet_cfg = mimo_fleet::FleetConfig::new(n)
+            let mut chip_cfg = mimo_fleet::ClusterConfig::new(1, n)
                 .epochs(epochs)
-                .policy(policy)
+                .chip_policy(policy)
                 .seed(cfg.seed)
                 .fault_rate(rate);
             if let Some(t) = &telemetry {
-                fleet_cfg = fleet_cfg.observer(t.clone());
+                chip_cfg = chip_cfg.observer(t.clone());
             }
             let label = format!("fault-sweep/r{rate}/{policy:?}");
             let (stats, tele) =
-                mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-                    .and_then(mimo_fleet::FleetRunner::run_traced)
-                    .map_err(|e| cell_err(&label, e))?;
+                run_one_chip(chip_cfg, &design.controller).map_err(|e| cell_err(&label, e))?;
             if tele.is_enabled() {
                 last_telemetry = Some(tele);
             }

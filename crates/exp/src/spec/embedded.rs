@@ -26,7 +26,7 @@ macro_rules! embed {
     };
 }
 
-/// Every checked-in spec, in `run all` order (the two spec-only
+/// Every checked-in spec, in `mimo-exp all` order (the spec-only
 /// scenarios last).
 pub const EMBEDDED: [EmbeddedSpec; 14] = [
     embed!("fig06", "fig06.toml"),

@@ -1,18 +1,18 @@
 //! Lowering: [`RunSpec`] scenarios onto the runtime's own builders.
 //!
-//! The spec layer adds no execution machinery of its own — a fleet spec
-//! becomes a [`FleetConfig`], a cluster spec a [`ClusterConfig`], a loop
-//! spec a reference schedule for the epoch-loop drivers — so a spec-driven
+//! The spec layer adds no execution machinery of its own — a cluster spec
+//! becomes a [`ClusterConfig`], a loop spec a reference schedule for the
+//! epoch-loop drivers — so a spec-driven
 //! run is the *same* run the builder-driven code path performs, and the
 //! runtime configs' own `validate` covers topology bounds and app names.
 
 use mimo_core::engine::ReferenceStep;
-use mimo_fleet::{ClusterConfig, FleetConfig};
+use mimo_fleet::ClusterConfig;
 use mimo_linalg::Vector;
 use mimo_sim::llc::LlcConfig;
 use serde::de::{DeError, DeResult};
 
-use super::model::{ClusterSpec, FleetSpec, LlcSpec, LoopSpec};
+use super::model::{ClusterSpec, LlcSpec, LoopSpec};
 
 impl LlcSpec {
     fn lower(&self, cores: usize) -> LlcConfig {
@@ -24,52 +24,16 @@ impl LlcSpec {
     }
 }
 
-impl FleetSpec {
-    /// Builds the [`FleetConfig`] this spec describes and runs the
-    /// runtime's own validation, so `mimo-exp validate` rejects the same
-    /// specs `run` would.
-    ///
-    /// # Errors
-    ///
-    /// [`DeError`] under the `fleet` key path when the runtime rejects
-    /// the configuration (bad topology, unknown app, …).
-    pub fn lower(&self, epochs_override: Option<usize>) -> DeResult<FleetConfig> {
-        let mut cfg = FleetConfig::new(self.cores)
-            .epochs(epochs_override.unwrap_or(self.epochs))
-            .seed(self.seed)
-            .input_set(self.input_set)
-            .apps(self.apps.clone())
-            .fault_rate(self.fault_rate)
-            .banked(self.banked);
-        if let Some(cap) = self.power_cap {
-            cfg = cfg.power_cap(cap);
-        }
-        if let Some(policy) = self.policy {
-            cfg = cfg.policy(policy);
-        }
-        if let Some(t) = self.targets {
-            cfg = cfg.base_targets(t);
-        }
-        if let Some(llc) = &self.llc {
-            cfg = cfg.llc_contention(llc.lower(self.cores));
-        }
-        for fault in &self.faults {
-            cfg = cfg.core_fault(fault.core, fault.spec);
-        }
-        cfg.validate()
-            .map_err(|e| DeError::at("fleet", 0, e.to_string()))?;
-        Ok(cfg)
-    }
-}
-
 impl ClusterSpec {
-    /// Builds the [`ClusterConfig`] this spec describes; see
-    /// [`FleetSpec::lower`] for the validation contract. `shards_override`
-    /// carries the CLI `--shards` flag.
+    /// Builds the [`ClusterConfig`] this spec describes and runs the
+    /// runtime's own validation, so `mimo-exp validate` rejects the same
+    /// specs `run` would. `shards_override` carries the CLI `--shards`
+    /// flag.
     ///
     /// # Errors
     ///
-    /// [`DeError`] under the `cluster` key path on runtime rejection.
+    /// [`DeError`] under the `cluster` key path when the runtime rejects
+    /// the configuration (bad topology, unknown app, …).
     pub fn lower(
         &self,
         epochs_override: Option<usize>,
@@ -127,7 +91,7 @@ impl LoopSpec {
     }
 
     /// Validates the workload name against the catalog (the loop kind
-    /// bypasses `FleetConfig`, which would otherwise do this).
+    /// bypasses `ClusterConfig`, which would otherwise do this).
     ///
     /// # Errors
     ///
@@ -147,9 +111,11 @@ mod tests {
     use mimo_sim::fault::{FaultKind, FaultSpec};
     use mimo_sim::InputSet;
 
-    fn fleet_spec() -> FleetSpec {
-        FleetSpec {
-            cores: 4,
+    fn cluster_spec() -> ClusterSpec {
+        ClusterSpec {
+            chips: 1,
+            cores_per_chip: 4,
+            shards: 1,
             epochs: 100,
             seed: 7,
             power_cap: Some(4.0),
@@ -168,68 +134,56 @@ mod tests {
     }
 
     #[test]
-    fn fleet_lowers_onto_the_builder() {
-        let cfg = fleet_spec().lower(None).unwrap();
-        assert_eq!(cfg.n_cores, 4);
-        assert_eq!(cfg.chip_power_cap_w, 4.0);
-        assert_eq!(cfg.policy, ArbitrationPolicy::Uniform);
+    fn cluster_lowers_onto_the_builder() {
+        let cfg = cluster_spec().lower(None, None).unwrap();
+        assert_eq!((cfg.n_chips, cfg.cores_per_chip), (1, 4));
+        assert_eq!(cfg.cluster_power_cap_w, 4.0);
+        assert_eq!(cfg.chip_policy, ArbitrationPolicy::Uniform);
         assert_eq!(cfg.base_targets, [2.5, 1.5]);
         assert_eq!(cfg.llc.unwrap().total_ways, 16);
-        // The epochs override wins over the spec's own count.
-        assert_eq!(fleet_spec().lower(Some(9)).unwrap().epochs, 9);
+        // The overrides win over the spec's own counts.
+        let cfg = cluster_spec().lower(Some(9), Some(1)).unwrap();
+        assert_eq!((cfg.epochs, cfg.shards), (9, 1));
     }
 
     #[test]
-    fn fleet_defaults_stay_the_runtime_defaults() {
-        let mut spec = fleet_spec();
+    fn cluster_defaults_stay_the_runtime_defaults() {
+        let mut spec = cluster_spec();
         spec.power_cap = None;
         spec.policy = None;
         spec.targets = None;
         spec.llc = None;
         spec.apps = vec![];
-        let cfg = spec.lower(None).unwrap();
-        let default = FleetConfig::new(4);
-        assert_eq!(cfg.chip_power_cap_w, default.chip_power_cap_w);
-        assert_eq!(cfg.policy, default.policy);
+        let cfg = spec.lower(None, None).unwrap();
+        let default = ClusterConfig::new(1, 4);
+        assert_eq!(cfg.cluster_power_cap_w, default.cluster_power_cap_w);
+        assert_eq!(cfg.chip_policy, default.chip_policy);
         assert_eq!(cfg.base_targets, default.base_targets);
         assert_eq!(cfg.llc, None);
     }
 
     #[test]
     fn unknown_app_fails_at_lowering() {
-        let mut spec = fleet_spec();
+        let mut spec = cluster_spec();
         spec.apps = vec!["no-such-app".into()];
-        let err = spec.lower(None).unwrap_err();
-        assert_eq!(err.path, "fleet");
+        let err = spec.lower(None, None).unwrap_err();
+        assert_eq!(err.path, "cluster");
         assert!(err.msg.contains("no-such-app"), "{err}");
     }
 
     #[test]
     fn cluster_fault_chip_bound_is_checked() {
-        let spec = ClusterSpec {
-            chips: 2,
-            cores_per_chip: 2,
-            shards: 1,
-            epochs: 50,
-            seed: 1,
-            power_cap: None,
-            policy: None,
-            input_set: InputSet::FreqCache,
-            apps: vec![],
-            targets: None,
-            fault_rate: 0.0,
-            faults: vec![CoreFault {
-                chip: 5,
-                core: 0,
-                spec: FaultSpec {
-                    kind: FaultKind::PowerSpike { factor: 3.0 },
-                    start_epoch: 0,
-                    duration: 1,
-                },
-            }],
-            llc: None,
-            banked: true,
-        };
+        let mut spec = cluster_spec();
+        spec.chips = 2;
+        spec.faults = vec![CoreFault {
+            chip: 5,
+            core: 0,
+            spec: FaultSpec {
+                kind: FaultKind::PowerSpike { factor: 3.0 },
+                start_epoch: 0,
+                duration: 1,
+            },
+        }];
         let err = spec.lower(None, None).unwrap_err();
         assert!(err.msg.contains("chip 5"), "{err}");
     }

@@ -1,9 +1,9 @@
 //! `mimo-spec` — the declarative scenario layer.
 //!
-//! A scenario spec is a TOML file naming a topology (single loop, fleet,
-//! or cluster — or one of the paper's own experiments), the
-//! governor/arbiter selection, workload mix, phase schedule, fault plan,
-//! and expected-outcome assertions. `mimo-exp run <spec.toml>` executes
+//! A scenario spec is a TOML file naming a topology (a single loop or a
+//! cluster, a single chip being a one-chip cluster — or one of the paper's
+//! own experiments), the governor/arbiter selection, workload mix, phase
+//! schedule, fault plan, and expected-outcome assertions. `mimo-exp run <spec.toml>` executes
 //! it; `validate` checks it without running; `schema` prints the key
 //! reference. The figure subcommands are thin aliases over the
 //! [`embedded`] copies of `specs/*.toml`, so every experiment the harness
@@ -12,9 +12,8 @@
 //! Pipeline: [`toml`] parses the text into the vendored serde stub's
 //! line-spanned value tree → the model layer's [`RunSpec`] extracts
 //! itself via `FromValue` (every error carries key path + line) → the
-//! lowering layer maps the scenario onto
-//! `FleetConfig`/`ClusterConfig`/epoch-loop builders → [`run_spec`]
-//! executes and checks assertions.
+//! lowering layer maps the scenario onto the `ClusterConfig`/epoch-loop
+//! builders → [`run_spec`] executes and checks assertions.
 
 pub mod embedded;
 mod lower;
@@ -28,9 +27,9 @@ use std::path::Path;
 use serde::de::{DeError, DeResult};
 
 pub use model::{
-    Asserts, ClusterSpec, CoreFault, DigestAssert, FleetSpec, GovernorKind, InvariantAssert,
-    LlcSpec, LoopSpec, OutputChannel, PaperExperiment, PhaseSpec, QuarantinedAssert, RunSpec,
-    Scenario, TrackingErrorAssert, SCHEMA_VERSION,
+    Asserts, ClusterSpec, CoreFault, DigestAssert, GovernorKind, InvariantAssert, LlcSpec,
+    LoopSpec, OutputChannel, PaperExperiment, PhaseSpec, QuarantinedAssert, RunSpec, Scenario,
+    TrackingErrorAssert, SCHEMA_VERSION,
 };
 pub use run::{run_spec, RunOverrides};
 pub use schema::SCHEMA_TEXT;
@@ -79,7 +78,6 @@ pub fn check(spec: &RunSpec) -> DeResult<()> {
     match &spec.scenario {
         Scenario::Paper(_) => Ok(()),
         Scenario::Loop(l) => l.check_app(),
-        Scenario::Fleet(f) => f.lower(None).map(drop),
         Scenario::Cluster(c) => c.lower(None, None).map(drop),
     }
 }

@@ -27,7 +27,7 @@ pub struct RunSpec {
     pub asserts: Asserts,
 }
 
-/// The four scenario kinds, keyed by the top-level `kind` string.
+/// The three scenario kinds, keyed by the top-level `kind` string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Scenario {
     /// `kind = "paper"`: one of the named paper experiments, byte-for-byte
@@ -36,9 +36,8 @@ pub enum Scenario {
     /// `kind = "loop"`: a single governed core driven through a
     /// piecewise-constant reference schedule.
     Loop(LoopSpec),
-    /// `kind = "fleet"`: one chip, N cores under a shared power arbiter.
-    Fleet(FleetSpec),
-    /// `kind = "cluster"`: chips × cores under a cluster-level arbiter.
+    /// `kind = "cluster"`: chips × cores under a cluster-level arbiter (a
+    /// single chip is `chips = 1`).
     Cluster(ClusterSpec),
 }
 
@@ -48,7 +47,6 @@ impl Scenario {
         match self {
             Scenario::Paper(_) => "paper",
             Scenario::Loop(_) => "loop",
-            Scenario::Fleet(_) => "fleet",
             Scenario::Cluster(_) => "cluster",
         }
     }
@@ -172,36 +170,6 @@ pub enum GovernorKind {
     Decoupled,
 }
 
-/// `kind = "fleet"`: one chip under a shared power arbiter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSpec {
-    /// Cores on the chip.
-    pub cores: usize,
-    /// Epochs to run (`--epochs` overrides).
-    pub epochs: usize,
-    /// Base RNG seed (default 2016).
-    pub seed: u64,
-    /// Chip power cap, watts (default: the nominal 1.2 W/core budget).
-    pub power_cap: Option<f64>,
-    /// Arbitration policy (default: the runtime's default).
-    pub policy: Option<ArbitrationPolicy>,
-    /// Actuator set (default `freq_cache`).
-    pub input_set: InputSet,
-    /// Workload mix, assigned round-robin (default: the built-in mix).
-    pub apps: Vec<String>,
-    /// Per-core `[ips, power]` targets (default: the runtime's default).
-    pub targets: Option<[f64; 2]>,
-    /// Random transient-fault rate per core-epoch (default 0).
-    pub fault_rate: f64,
-    /// Scheduled fault plan.
-    pub faults: Vec<CoreFault>,
-    /// Shared-LLC contention model (default: off).
-    pub llc: Option<LlcSpec>,
-    /// Structure-of-arrays governor banks (default true; results are
-    /// identical either way — `banked = false` forces the per-cell path).
-    pub banked: bool,
-}
-
 /// `kind = "cluster"`: chips × cores under a cluster arbiter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
@@ -237,11 +205,10 @@ pub struct ClusterSpec {
     pub banked: bool,
 }
 
-/// One scheduled fault: which core (and chip, for clusters), what kind,
-/// and when.
+/// One scheduled fault: which chip and core, what kind, and when.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreFault {
-    /// Chip index (cluster kind only; fleet faults leave it 0).
+    /// Chip index.
     pub chip: usize,
     /// Core index within the chip.
     pub core: usize,
@@ -271,7 +238,7 @@ pub struct Asserts {
     pub digest: Vec<DigestAssert>,
     /// Aggregate tracking-error ceilings.
     pub tracking_error: Vec<TrackingErrorAssert>,
-    /// Bounds on quarantined cores (fleet/cluster kinds).
+    /// Bounds on quarantined cores (cluster kind).
     pub quarantined: Option<QuarantinedAssert>,
     /// Byte-identity of CSV output across re-runs, job counts, and shard
     /// counts.
@@ -334,8 +301,8 @@ pub struct QuarantinedAssert {
 /// produced CSV bytes to be identical.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct InvariantAssert {
-    /// Grid job counts to compare (paper kind); loop and fleet kinds
-    /// simply re-run once per entry.
+    /// Grid job counts to compare (paper kind); the loop kind simply
+    /// re-runs once per entry.
     pub jobs: Vec<usize>,
     /// Shard counts to compare (cluster kind, and `cluster-scale`).
     pub shards: Vec<usize>,
@@ -441,9 +408,8 @@ impl FromValue for LlcSpec {
     }
 }
 
-/// Parses one `[[…faults]]` entry; `in_cluster` decides whether the
-/// `chip` key is required or forbidden.
-fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<CoreFault> {
+/// Parses one `[[cluster.faults]]` entry.
+fn core_fault(v: &Spanned, path: &str) -> DeResult<CoreFault> {
     let t = table(v, path)?;
     t.deny_unknown(
         &[
@@ -451,17 +417,7 @@ fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<CoreFault> 
         ],
         path,
     )?;
-    let chip = if in_cluster {
-        t.field("chip", path, v.line)?
-    } else if let Some(node) = t.get("chip") {
-        return Err(DeError::at(
-            join(path, "chip"),
-            node.line,
-            "chip is a cluster-kind key; fleet faults name only a core",
-        ));
-    } else {
-        0
-    };
+    let chip = t.field("chip", path, v.line)?;
 
     // Per-kind payload keys; anything from another kind's vocabulary is
     // caught by `only`.
@@ -534,16 +490,14 @@ fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<CoreFault> 
     })
 }
 
-fn core_faults(t: &Table, path: &str, in_cluster: bool) -> DeResult<Vec<CoreFault>> {
+fn core_faults(t: &Table, path: &str) -> DeResult<Vec<CoreFault>> {
     match t.get("faults") {
         None => Ok(Vec::new()),
         Some(v) => match &v.value {
             Value::Array(items) => items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| {
-                    core_fault(item, &format!("{}[{i}]", join(path, "faults")), in_cluster)
-                })
+                .map(|(i, item)| core_fault(item, &format!("{}[{i}]", join(path, "faults"))))
                 .collect(),
             _ => Err(DeError::mismatch(
                 &join(path, "faults"),
@@ -584,43 +538,6 @@ impl FromValue for LoopSpec {
     }
 }
 
-impl FromValue for FleetSpec {
-    fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
-        let t = table(v, path)?;
-        t.deny_unknown(
-            &[
-                "cores",
-                "epochs",
-                "seed",
-                "power_cap",
-                "policy",
-                "input_set",
-                "apps",
-                "targets",
-                "fault_rate",
-                "faults",
-                "llc",
-                "banked",
-            ],
-            path,
-        )?;
-        Ok(FleetSpec {
-            cores: t.field("cores", path, v.line)?,
-            epochs: t.field("epochs", path, v.line)?,
-            seed: t.field_or("seed", path, 2016)?,
-            power_cap: t.field_opt("power_cap", path)?,
-            policy: policy(t, path)?,
-            input_set: input_set(t, path)?,
-            apps: t.field_or("apps", path, Vec::new())?,
-            targets: targets(t, path)?,
-            fault_rate: t.field_or("fault_rate", path, 0.0)?,
-            faults: core_faults(t, path, false)?,
-            llc: t.field_opt("llc", path)?,
-            banked: t.field_or("banked", path, true)?,
-        })
-    }
-}
-
 impl FromValue for ClusterSpec {
     fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
         let t = table(v, path)?;
@@ -655,7 +572,7 @@ impl FromValue for ClusterSpec {
             apps: t.field_or("apps", path, Vec::new())?,
             targets: targets(t, path)?,
             fault_rate: t.field_or("fault_rate", path, 0.0)?,
-            faults: core_faults(t, path, true)?,
+            faults: core_faults(t, path)?,
             llc: t.field_opt("llc", path)?,
             banked: t.field_or("banked", path, true)?,
         })
@@ -758,7 +675,7 @@ impl RunSpec {
     pub fn from_table(root: &Table) -> DeResult<Self> {
         root.deny_unknown(
             &[
-                "schema", "name", "kind", "paper", "loop", "fleet", "cluster", "asserts",
+                "schema", "name", "kind", "paper", "loop", "cluster", "asserts",
             ],
             "",
         )?;
@@ -796,7 +713,6 @@ impl RunSpec {
                 Scenario::Paper(PaperExperiment::parse(exp, "paper.experiment")?)
             }
             "loop" => Scenario::Loop(LoopSpec::from_value(section("loop")?, "loop")?),
-            "fleet" => Scenario::Fleet(FleetSpec::from_value(section("fleet")?, "fleet")?),
             "cluster" => {
                 Scenario::Cluster(ClusterSpec::from_value(section("cluster")?, "cluster")?)
             }
@@ -804,14 +720,12 @@ impl RunSpec {
                 return Err(DeError::at(
                     "kind",
                     kind_node.line,
-                    format!(
-                        "unknown kind {other:?} (expected one of: paper, loop, fleet, cluster)"
-                    ),
+                    format!("unknown kind {other:?} (expected one of: paper, loop, cluster)"),
                 ))
             }
         };
         // A spec may only carry the section its kind names.
-        for key in ["paper", "loop", "fleet", "cluster"] {
+        for key in ["paper", "loop", "cluster"] {
             if key != scenario.kind() {
                 if let Some(node) = root.get(key) {
                     return Err(DeError::at(
@@ -896,7 +810,6 @@ impl RunSpec {
                     }
                 }
             }
-            Scenario::Fleet(_) => {}
             Scenario::Cluster(c) => {
                 if c.shards == 0 {
                     return bad("cluster.shards", "must be at least 1".into());
@@ -904,17 +817,17 @@ impl RunSpec {
             }
         }
         let kind = self.scenario.kind();
-        let summary_kinds = matches!(self.scenario, Scenario::Fleet(_) | Scenario::Cluster(_));
-        if !self.asserts.digest.is_empty() && !summary_kinds {
+        let cluster = matches!(self.scenario, Scenario::Cluster(_));
+        if !self.asserts.digest.is_empty() && !cluster {
             return bad(
                 "asserts.digest",
-                format!("digest assertions need kind fleet or cluster, not {kind}"),
+                format!("digest assertions need kind cluster, not {kind}"),
             );
         }
-        if self.asserts.quarantined.is_some() && !summary_kinds {
+        if self.asserts.quarantined.is_some() && !cluster {
             return bad(
                 "asserts.quarantined",
-                format!("quarantined assertions need kind fleet or cluster, not {kind}"),
+                format!("quarantined assertions need kind cluster, not {kind}"),
             );
         }
         if let Some(q) = &self.asserts.quarantined {
@@ -928,7 +841,7 @@ impl RunSpec {
         if !self.asserts.tracking_error.is_empty() && matches!(self.scenario, Scenario::Paper(_)) {
             return bad(
                 "asserts.tracking_error",
-                "tracking_error assertions need kind loop, fleet, or cluster".into(),
+                "tracking_error assertions need kind loop or cluster".into(),
             );
         }
         if let Some(inv) = &self.asserts.invariant {
@@ -941,7 +854,7 @@ impl RunSpec {
             if inv.jobs.contains(&0) || inv.shards.contains(&0) {
                 return bad("asserts.invariant", "counts must be at least 1".into());
             }
-            let shards_ok = matches!(self.scenario, Scenario::Cluster(_))
+            let shards_ok = cluster
                 || matches!(
                     self.scenario,
                     Scenario::Paper(PaperExperiment::ClusterScale)
@@ -952,7 +865,7 @@ impl RunSpec {
                     format!("shards invariance needs kind cluster (or cluster-scale), not {kind}"),
                 );
             }
-            if !inv.jobs.is_empty() && matches!(self.scenario, Scenario::Cluster(_)) {
+            if !inv.jobs.is_empty() && cluster {
                 return bad(
                     "asserts.invariant.jobs",
                     "a cluster parallelizes over shards, not jobs — use shards = [...]".into(),
@@ -1044,10 +957,24 @@ mod tests {
     fn wrong_kind_section_is_rejected() {
         let err = parse(
             "schema = 1\nname = \"x\"\nkind = \"paper\"\n[paper]\nexperiment = \"fig06\"\n\
-             [fleet]\ncores = 4\nepochs = 10\n",
+             [cluster]\nchips = 1\ncores_per_chip = 4\nepochs = 10\n",
         )
         .unwrap_err();
         assert!(err.msg.contains("conflicts with kind"), "{err}");
+    }
+
+    #[test]
+    fn fleet_kind_and_section_are_rejected() {
+        // A single chip is a one-chip cluster; "fleet" is no kind.
+        let err = parse("schema = 1\nname = \"x\"\nkind = \"fleet\"\n").unwrap_err();
+        assert!(err.msg.contains("unknown kind"), "{err}");
+        assert!(err.msg.contains("cluster"), "{err}");
+        let err =
+            parse("schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n")
+                .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("fleet", 4));
+        assert!(err.msg.contains("unknown key"), "{err}");
+        assert!(err.msg.contains("cluster"), "{err}");
     }
 
     #[test]
@@ -1078,9 +1005,10 @@ mod tests {
              [asserts.quarantined]\nmin = 1\n",
         )
         .unwrap_err();
-        assert!(err.msg.contains("fleet or cluster"), "{err}");
+        assert!(err.msg.contains("kind cluster"), "{err}");
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
+            "schema = 1\nname = \"x\"\nkind = \"loop\"\n[loop]\napp = \"astar\"\nepochs = 10\n\
+             [[loop.phases]]\nepoch = 0\nips = 1.0\npower = 1.0\n\
              [asserts.invariant]\nshards = [1, 2]\n",
         )
         .unwrap_err();
@@ -1090,18 +1018,20 @@ mod tests {
     #[test]
     fn fault_kind_payload_keys_are_checked() {
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
-             [[fleet.faults]]\ncore = 1\nkind = \"power_spike\"\nchannel = 0\nstart = 5\n",
+            "schema = 1\nname = \"x\"\nkind = \"cluster\"\n\
+             [cluster]\nchips = 1\ncores_per_chip = 4\nepochs = 10\n\
+             [[cluster.faults]]\nchip = 0\ncore = 1\nkind = \"power_spike\"\nchannel = 0\nstart = 5\n",
         )
         .unwrap_err();
-        assert_eq!(err.path, "fleet.faults[0].channel");
+        assert_eq!(err.path, "cluster.faults[0].channel");
         assert!(err.msg.contains("factor"), "{err}");
     }
 
     #[test]
     fn digest_value_is_hex() {
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
+            "schema = 1\nname = \"x\"\nkind = \"cluster\"\n\
+             [cluster]\nchips = 1\ncores_per_chip = 4\nepochs = 10\n\
              [[asserts.digest]]\nepochs = 10\nvalue = \"zznothex\"\n",
         )
         .unwrap_err();

@@ -3,9 +3,9 @@
 //! Paper scenarios dispatch to the exact `experiments::*` functions the
 //! subcommands always ran — including each subcommand's post-run checks
 //! and paper-comparison summaries — so a spec-driven `fig06` and the
-//! `fig06` alias are the same run producing the same bytes. Loop, fleet,
-//! and cluster scenarios lower onto the epoch-loop drivers and the
-//! fleet/cluster runtimes, then write a deterministic `<name>.csv`
+//! `fig06` alias are the same run producing the same bytes. Loop and
+//! cluster scenarios lower onto the epoch-loop drivers and the cluster
+//! runtime, then write a deterministic `<name>.csv`
 //! summary (no shard or wall-clock columns, so the file is byte-identical
 //! at any parallelism — that is what `asserts.invariant` diffs).
 
@@ -42,11 +42,11 @@ pub struct RunOverrides {
 struct Outcome {
     /// Effective epoch count (gates digest assertions).
     epochs: usize,
-    /// Deterministic stats digest (fleet/cluster kinds).
+    /// Deterministic stats digest (cluster kind).
     digest: Option<u64>,
     /// Mean `[ips, power]` tracking error, percent.
     err_pct: Option<[f64; 2]>,
-    /// Quarantined cores (fleet/cluster kinds).
+    /// Quarantined cores (cluster kind).
     quarantined: Option<usize>,
     /// CSVs this run wrote (relative names), for invariance diffing.
     csvs: Vec<String>,
@@ -75,7 +75,6 @@ fn execute(cfg: &ExpConfig, spec: &RunSpec, ov: &RunOverrides) -> Result<Outcome
             csvs: Vec::new(),
         }),
         Scenario::Loop(l) => run_loop(cfg, &spec.name, l, ov),
-        Scenario::Fleet(f) => run_fleet(cfg, &spec.name, f, ov),
         Scenario::Cluster(c) => run_cluster(cfg, &spec.name, c, ov),
     }
 }
@@ -292,73 +291,8 @@ fn run_loop(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet / cluster kinds
+// Cluster kind
 // ---------------------------------------------------------------------------
-
-fn run_fleet(
-    cfg: &ExpConfig,
-    name: &str,
-    f: &spec::FleetSpec,
-    ov: &RunOverrides,
-) -> Result<Outcome, String> {
-    let fleet_cfg = f.lower(ov.epochs).map_err(|e| e.to_string())?;
-    let design = cfg
-        .cache
-        .design_mimo(f.input_set, f.seed)
-        .map_err(|e| e.to_string())?;
-    let epochs = fleet_cfg.epochs;
-    let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-        .and_then(mimo_fleet::FleetRunner::run)
-        .map_err(|e| e.to_string())?;
-    let digest = stats.digest();
-
-    let csv = format!("{name}.csv");
-    if cfg.emit {
-        // No wall-clock columns: the file must be byte-identical run to
-        // run (asserts.invariant diffs it directly).
-        let row = vec![
-            stats.n_cores.to_string(),
-            stats.epochs.to_string(),
-            stats.policy.clone(),
-            report::fmt(stats.agg_ips_err_pct, 2),
-            report::fmt(stats.agg_power_err_pct, 2),
-            report::fmt(stats.avg_chip_power_w, 3),
-            report::fmt(stats.peak_chip_power_w, 3),
-            report::fmt(stats.cap_violation_pct, 2),
-            stats.quarantined_cores.to_string(),
-            stats.fault_epochs.to_string(),
-            format!("{digest:016x}"),
-        ];
-        let path = cfg
-            .results
-            .write_csv(
-                &csv,
-                &[
-                    "n_cores",
-                    "epochs",
-                    "policy",
-                    "ips_err_pct",
-                    "power_err_pct",
-                    "avg_chip_w",
-                    "peak_chip_w",
-                    "cap_violation_pct",
-                    "quarantined",
-                    "fault_epochs",
-                    "digest",
-                ],
-                &[row],
-            )
-            .map_err(|e| format!("write {csv}: {e}"))?;
-        println!("wrote {}", path.display());
-    }
-    Ok(Outcome {
-        epochs,
-        digest: Some(digest),
-        err_pct: Some([stats.agg_ips_err_pct, stats.agg_power_err_pct]),
-        quarantined: Some(stats.quarantined_cores),
-        csvs: vec![csv],
-    })
-}
 
 fn run_cluster(
     cfg: &ExpConfig,
@@ -379,7 +313,8 @@ fn run_cluster(
 
     let csv = format!("{name}.csv");
     if cfg.emit {
-        // No shards or wall-clock columns, for the same reason as fleet.
+        // No shards or wall-clock columns: the file must be byte-identical
+        // at any shard count (asserts.invariant diffs it directly).
         let row = vec![
             stats.n_chips.to_string(),
             (stats.total_cores / stats.n_chips.max(1)).to_string(),
@@ -578,8 +513,8 @@ fn check_invariance(
         match (&mut spec2.scenario, param) {
             (Scenario::Paper(_), "jobs") => cfg2.jobs = n,
             (Scenario::Paper(_), _) => ov2.shards = Some(n),
-            // One serial chip or core: the re-run checks run determinism.
-            (Scenario::Loop(_) | Scenario::Fleet(_), _) => {}
+            // One serial core: the re-run checks run determinism.
+            (Scenario::Loop(_), _) => {}
             (Scenario::Cluster(c), _) if param == "shards" => c.shards = n,
             (Scenario::Cluster(_), _) => {}
         }

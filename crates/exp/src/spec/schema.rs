@@ -18,7 +18,7 @@ Top level
 ---------
 schema      integer, required       must be 1
 name        string,  required       [A-Za-z0-9_-]+; non-paper kinds write <name>.csv
-kind        string,  required       paper | loop | fleet | cluster
+kind        string,  required       paper | loop | cluster
 
 [paper]                             (kind = \"paper\")
 ----------------------------------------------------
@@ -41,20 +41,28 @@ epochs      integer, required       --epochs overrides
   The runner drives one governed core through the piecewise-constant
   reference schedule and writes one summary row per phase.
 
-[fleet]                             (kind = \"fleet\")
+[cluster]                           (kind = \"cluster\")
 ----------------------------------------------------
-cores       integer, required
-epochs      integer, required       --epochs overrides
-seed        integer, default 2016
-power_cap   float,   default nominal (1.2 W/core)
-policy      string,  default runtime's     uniform | proportional | priority
-input_set   string,  default freq_cache
-apps        array of strings, default built-in mix; assigned round-robin
-targets     array [ips, power], default runtime's
-fault_rate  float,   default 0      transient faults per core-epoch
-banked      bool,    default true   SoA governor banks; false forces the
+chips           integer, required   1 for a single chip
+cores_per_chip  integer, required
+shards          integer, default 1  --shards overrides; results identical at any value
+epochs          integer, required   --epochs overrides
+seed            integer, default 2016
+power_cap       float,   default nominal (1.2 W/core)
+                                    caps the cluster; no chip is granted
+                                    more than its nominal 1.2 W/core, so a
+                                    one-chip cluster runs under
+                                    min(power_cap, 1.2 W x cores)
+policy          string,  default runtime's   uniform | proportional | priority
+                                    sets each chip's arbiter
+input_set       string,  default freq_cache
+apps            array of strings, default built-in mix; assigned round-robin
+targets         array [ips, power], default runtime's
+fault_rate      float,   default 0  transient faults per core-epoch
+banked          bool,    default true   SoA governor banks; false forces the
                                     per-cell path (results identical)
-[[fleet.faults]]                    scheduled fault plan
+[[cluster.faults]]                  scheduled fault plan
+  chip      integer, required       which chip the fault lands on
   core      integer, required
   kind      string,  required       stuck_sensor | nan_measurement |
                                     actuator_stuck_at | power_spike
@@ -64,37 +72,26 @@ banked      bool,    default true   SoA governor banks; false forces the
   factor    float                   power_spike only
   start     integer, required       first faulted epoch
   duration  integer, default permanent
-[fleet.llc]                         shared-LLC contention (default off)
+[cluster.llc]                       shared-LLC contention per chip (default off)
   total_ways   integer, required
   sensitivity  float, default model's
-
-[cluster]                           (kind = \"cluster\")
-----------------------------------------------------
-chips           integer, required
-cores_per_chip  integer, required
-shards          integer, default 1  --shards overrides; results identical at any value
-epochs / seed / power_cap / policy / input_set / apps / targets /
-fault_rate / llc / banked           as for [fleet] (power_cap caps the cluster;
-                                    policy sets each chip's arbiter)
-[[cluster.faults]]                  as for [fleet.faults] plus:
-  chip      integer, required       which chip the fault lands on
 
 [asserts]                           all optional
 ----------------------------------------------------
 csv = [\"a.csv\", ...]               files the run must produce
-[[asserts.digest]]                  fleet/cluster kinds only
+[[asserts.digest]]                  cluster kind only
   epochs    integer, required       checked only at exactly this epoch count
   value     string,  required       16 hex digits (the stats digest)
-[[asserts.tracking_error]]          loop/fleet/cluster kinds
+[[asserts.tracking_error]]          loop/cluster kinds
   output    string,  required       ips | power
   max_pct   float,   required       mean tracking error ceiling, percent
   epochs    integer, optional       epoch gate, as for digest
-[asserts.quarantined]               fleet/cluster kinds
+[asserts.quarantined]               cluster kind
   min       integer, default 0
   max       integer, default unbounded
   epochs    integer, optional       epoch gate
 [asserts.invariant]                 re-run and byte-compare the CSVs
-  jobs      array of integers       paper: grid job counts; loop/fleet: re-runs
+  jobs      array of integers       paper: grid job counts; loop: re-runs
   shards    array of integers       cluster (and cluster-scale): shard counts
 
 Epoch-gated assertions (digest, and any tracking_error/quarantined with

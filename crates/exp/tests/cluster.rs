@@ -3,31 +3,10 @@
 //! miniature).
 
 use mimo_exp::setup;
-use mimo_fleet::{ClusterConfig, ClusterRunner, FleetConfig, FleetRunner};
+use mimo_fleet::{ClusterConfig, ClusterRunner};
 use mimo_sim::fault::{FaultKind, FaultSpec};
 use mimo_sim::llc::LlcConfig;
 use mimo_sim::InputSet;
-
-#[test]
-fn one_chip_cluster_matches_the_fleet_runner_with_a_real_controller() {
-    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
-    let ccfg = ClusterConfig::new(1, 4)
-        .epochs(300)
-        .exchange_period(50)
-        .seed(2016);
-    let cluster = ClusterRunner::with_shared_controller(ccfg, &design.controller)
-        .expect("cluster")
-        .run()
-        .expect("validated cluster config");
-    let fcfg = FleetConfig::new(4).epochs(300).seed(2016);
-    let fleet = FleetRunner::with_shared_controller(fcfg, &design.controller)
-        .expect("fleet")
-        .run()
-        .expect("validated fleet config");
-    assert_eq!(cluster.per_chip[0], fleet);
-    assert_eq!(cluster.per_chip[0].digest(), fleet.digest());
-    assert!(cluster.energy_j > 0.0);
-}
 
 #[test]
 fn contended_cluster_is_shard_invariant_at_issue_scale() {
@@ -75,11 +54,11 @@ fn fully_quarantined_chip_frees_its_budget_for_the_others() {
         let mut cfg = ClusterConfig::new(3, 4)
             .epochs(240)
             .exchange_period(40)
-            .cluster_power_cap(0.8 * 3.0 * 4.8)
+            .power_cap(0.8 * 3.0 * 4.8)
             .shards(shards)
             .seed(2016);
         for core in 0..4 {
-            cfg = cfg.chip_core_fault(1, core, nan);
+            cfg = cfg.core_fault(1, core, nan);
         }
         cfg
     };
@@ -129,15 +108,15 @@ fn cluster_config_boundaries_are_loud() {
         duration: 1,
     };
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(2, 0, spec)
+        .core_fault(2, 0, spec)
         .validate()
         .is_err());
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(1, 4, spec)
+        .core_fault(1, 4, spec)
         .validate()
         .is_err());
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(1, 3, spec)
+        .core_fault(1, 3, spec)
         .validate()
         .is_ok());
     // A one-chip cluster is legal and shards(0) auto-resolves.

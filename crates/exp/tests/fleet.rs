@@ -1,22 +1,32 @@
-//! Integration tests for the fleet runtime driven by a real synthesized
-//! MIMO controller (the `fleet_scale` deployment model in miniature).
+//! Integration tests for a single chip — a one-chip cluster — driven by a
+//! real synthesized MIMO controller (the `fleet_scale` deployment model in
+//! miniature).
 
+use mimo_core::LqgController;
 use mimo_exp::setup;
-use mimo_fleet::{ArbitrationPolicy, FleetConfig, FleetRunner};
+use mimo_fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner, FleetStats};
 use mimo_sim::fault::{FaultKind, FaultSpec};
 use mimo_sim::InputSet;
 
-fn run(policy: ArbitrationPolicy, cap_w: f64) -> mimo_fleet::FleetStats {
-    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
-    let cfg = FleetConfig::new(4)
-        .epochs(400)
-        .policy(policy)
-        .chip_power_cap(cap_w)
-        .seed(2016);
-    FleetRunner::with_shared_controller(cfg, &design.controller)
-        .expect("fleet")
+/// Runs the one-chip cluster `cfg` with every core on `ctrl` and returns
+/// the chip's statistics.
+fn run_chip(cfg: ClusterConfig, ctrl: &LqgController) -> FleetStats {
+    ClusterRunner::with_shared_controller(cfg, ctrl)
+        .expect("chip")
         .run()
-        .expect("validated fleet config")
+        .expect("validated chip config")
+        .per_chip
+        .remove(0)
+}
+
+fn run(policy: ArbitrationPolicy, cap_w: f64) -> FleetStats {
+    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
+    let cfg = ClusterConfig::new(1, 4)
+        .epochs(400)
+        .chip_policy(policy)
+        .power_cap(cap_w)
+        .seed(2016);
+    run_chip(cfg, &design.controller)
 }
 
 #[test]
@@ -36,16 +46,13 @@ fn faulted_fleet_is_deterministic_across_reruns() {
     // quarantine decisions — run after run.
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let run = || {
-        let cfg = FleetConfig::new(6)
+        let cfg = ClusterConfig::new(1, 6)
             .epochs(300)
-            .policy(ArbitrationPolicy::Proportional)
-            .chip_power_cap(7.2)
+            .chip_policy(ArbitrationPolicy::Proportional)
+            .power_cap(7.2)
             .seed(2016)
             .fault_rate(0.05);
-        FleetRunner::with_shared_controller(cfg, &design.controller)
-            .expect("fleet")
-            .run()
-            .expect("validated fleet config")
+        run_chip(cfg, &design.controller)
     };
     let one = run();
     let again = run();
@@ -67,13 +74,14 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
     // the arbiter's budget.
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let bad_cores = [1, 5, 9, 13];
-    let mut cfg = FleetConfig::new(16)
+    let mut cfg = ClusterConfig::new(1, 16)
         .epochs(300)
-        .policy(ArbitrationPolicy::Proportional)
-        .chip_power_cap(19.2)
+        .chip_policy(ArbitrationPolicy::Proportional)
+        .power_cap(19.2)
         .seed(2016);
     for &core in &bad_cores {
         cfg = cfg.core_fault(
+            0,
             core,
             FaultSpec {
                 kind: FaultKind::NanMeasurement { channel: 0 },
@@ -82,10 +90,7 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
             },
         );
     }
-    let stats = FleetRunner::with_shared_controller(cfg, &design.controller)
-        .expect("fleet")
-        .run()
-        .expect("validated fleet config");
+    let stats = run_chip(cfg, &design.controller);
     assert_eq!(stats.quarantined_cores, bad_cores.len(), "{stats:?}");
     for c in &stats.per_core {
         let expected = bad_cores.contains(&c.core);
@@ -120,7 +125,8 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
 fn tight_cap_throttles_power_below_generous_cap() {
     // Halving the chip budget must reduce what the fleet actually burns:
     // the arbiter lowers per-core references and the LQG loops follow.
-    let generous = run(ArbitrationPolicy::Proportional, 8.0);
+    // 4.8 W is the 4-core chip's nominal budget, the most it is granted.
+    let generous = run(ArbitrationPolicy::Proportional, 4.8);
     let tight = run(ArbitrationPolicy::Proportional, 2.4);
     assert!(
         tight.avg_chip_power_w < generous.avg_chip_power_w,

@@ -69,17 +69,18 @@ fn unknown_key_is_named_with_its_line() {
             "unknown-key.toml:4",
             "bogus",
         ),
-        // A fleet is one serial chip: there is no worker-count key.
+        // A single chip is a one-chip cluster: there is no fleet kind, and
+        // the error points the reader at `cluster`.
         (
-            "fleet-workers",
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nworkers = 2\nepochs = 100\n",
-            "fleet-workers.toml:6",
-            "fleet.workers",
+            "fleet-kind",
+            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 100\n",
+            "fleet-kind.toml:4",
+            "fleet",
         ),
     ];
     for (label, text, location, key) in cases {
         let spec = temp_spec(label, text);
-        assert_run_fails(&spec, &[location, key, "unknown key"]);
+        assert_run_fails(&spec, &[location, key, "unknown key", "cluster"]);
     }
 }
 

@@ -4,10 +4,10 @@
 //! a [`SharedLlc`] contention model. [`Chip::step_epoch`] advances the
 //! whole chip one epoch *serially* — step every core in core order,
 //! arbitrate over the core-indexed observation table, retarget. This is
-//! the runtime's only epoch beat: the single-chip
-//! [`FleetRunner`](crate::FleetRunner) is a loop over it, and the cluster
-//! runtime steps whole chips on shard threads with no cross-chip barrier,
-//! which is why the beat needs no locks at all.
+//! the runtime's only epoch beat: the cluster runtime
+//! ([`ClusterRunner`](crate::ClusterRunner), of which a single chip is the
+//! one-chip case) steps whole chips on shard threads with no cross-chip
+//! barrier, which is why the beat needs no locks at all.
 
 use mimo_core::engine::{fleet_warmup, EpochLoop, StepOutcome, TrackingErrorAccumulator};
 use mimo_core::governor::Governor;
@@ -374,8 +374,8 @@ impl Chip {
 
     /// Advances the whole chip one epoch: step every core in core order,
     /// arbitrate over the core-indexed table, refresh the shared-LLC
-    /// penalties, retarget. A [`FleetRunner`](crate::FleetRunner) run is a
-    /// loop over this beat, so a one-chip cluster is bit-identical to it.
+    /// penalties, retarget. A cluster window is a loop over this beat on
+    /// each chip.
     pub fn step_epoch(&mut self) {
         // Banked pre-pass: decide for every enrolled core in one
         // structure-of-arrays batch. Cores are mutually independent, so

@@ -14,8 +14,10 @@
 //! Because each chip's science is a pure function of its own seed and its
 //! cap schedule, and the cap schedule is a pure function of the summaries
 //! merged in chip order, the resulting [`ClusterStats`] are bit-identical
-//! at any shard count — and a cluster of one chip reproduces a single-chip
-//! [`FleetRunner`](crate::FleetRunner) run exactly.
+//! at any shard count. A single chip is simply a one-chip cluster
+//! (`ClusterConfig::new(1, cores)`): the arbiter then grants the lone chip
+//! its configured cap, clamped to the chip's nominal budget, at every
+//! exchange.
 
 use std::time::Instant;
 
@@ -148,19 +150,13 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the power cap this topology's arbiter divides — for a
-    /// cluster, the datacenter-level cap in watts (builder style). Shares
-    /// its name with [`FleetConfig::power_cap`], the same knob one level
-    /// down, so one spec shape drives both.
+    /// Sets the datacenter-level power cap the cluster arbiter divides
+    /// across chips, in watts (builder style). No chip is ever granted
+    /// more than its nominal `1.2 × cores` W, so a one-chip cluster runs
+    /// under `min(watts, 1.2 × cores)` (and never below the chip's floor).
     pub fn power_cap(mut self, watts: f64) -> Self {
         self.cluster_power_cap_w = watts;
         self
-    }
-
-    /// Alias of [`ClusterConfig::power_cap`] under the topology-specific
-    /// name (builder style).
-    pub fn cluster_power_cap(self, watts: f64) -> Self {
-        self.power_cap(watts)
     }
 
     /// Sets the cluster-level arbitration policy (builder style).
@@ -227,12 +223,6 @@ impl ClusterConfig {
     pub fn core_fault(mut self, chip: usize, core: usize, spec: FaultSpec) -> Self {
         self.core_faults.push((chip, core, spec));
         self
-    }
-
-    /// Alias of [`ClusterConfig::core_fault`] under its original name
-    /// (builder style).
-    pub fn chip_core_fault(self, chip: usize, core: usize, spec: FaultSpec) -> Self {
-        self.core_fault(chip, core, spec)
     }
 
     /// Attaches per-core telemetry to every chip (builder style).
@@ -344,40 +334,6 @@ impl ClusterConfig {
     }
 }
 
-/// The single-chip lift: a one-chip cluster running the fleet's exact
-/// configuration, so one spec shape drives both topologies.
-///
-/// Every shared knob carries over verbatim — core count, epochs, input
-/// set, targets, seed (chip 0 reuses the base seed, so per-core seeds are
-/// identical), policy (installed as the chip-level policy), workload mix,
-/// explicit cores, fault plan (lifted to chip 0), transient rate, LLC,
-/// and telemetry. The fleet's power cap becomes the cluster cap; with one
-/// chip the cluster arbiter grants `min(cap, nominal)` clamped to the
-/// floor at each exchange, so caps at or below the nominal 1.2 W/core
-/// budget behave exactly as they did one level down. A fleet is one
-/// serial chip, so the lifted cluster runs as one shard.
-impl From<FleetConfig> for ClusterConfig {
-    fn from(fleet: FleetConfig) -> Self {
-        let mut cfg = ClusterConfig::new(1, fleet.n_cores)
-            .epochs(fleet.epochs)
-            .power_cap(fleet.chip_power_cap_w)
-            .chip_policy(fleet.policy)
-            .input_set(fleet.input_set)
-            .base_targets(fleet.base_targets)
-            .seed(fleet.seed)
-            .apps(fleet.apps)
-            .cores(fleet.cores)
-            .fault_rate(fleet.fault_rate)
-            .observer(fleet.telemetry)
-            .banked(fleet.banked);
-        cfg.llc = fleet.llc;
-        for (core, spec) in fleet.core_faults {
-            cfg = cfg.core_fault(0, core, spec);
-        }
-        cfg
-    }
-}
-
 /// Steps a cluster of chips to completion, sharded across worker threads.
 pub struct ClusterRunner {
     cfg: ClusterConfig,
@@ -428,11 +384,12 @@ impl ClusterRunner {
     }
 
     /// Builds a cluster whose every core runs a clone of one synthesized
-    /// LQG controller — the deployment model of the `cluster_scale`
-    /// experiment. Storage is chosen by
-    /// [`mimo_core::governor::fast_governor`], exactly as the single-chip
-    /// [`FleetRunner::with_shared_controller`](crate::FleetRunner::with_shared_controller)
-    /// does.
+    /// LQG controller — the paper's deployment model, where a single
+    /// offline design is replicated across homogeneous cores, and the one
+    /// every fleet experiment uses. Each per-core clone
+    /// is wrapped by [`mimo_core::governor::fast_governor`], so controllers
+    /// whose shape matches a reference architecture step on
+    /// stack-allocated fixed-size kernels.
     ///
     /// When the controller's shape is banked-capable (and
     /// [`ClusterConfig::banked`] is on), every chip additionally enrolls
@@ -461,8 +418,8 @@ impl ClusterRunner {
     ///
     /// # Errors
     ///
-    /// Currently infallible after construction; the `Result` mirrors
-    /// [`FleetRunner::run`](crate::FleetRunner::run) for API symmetry.
+    /// Currently infallible after construction; the `Result` keeps the
+    /// signature shared with [`ClusterRunner::run_traced`].
     pub fn run(self) -> Result<ClusterStats> {
         self.run_traced().map(|(stats, _)| stats)
     }
@@ -508,7 +465,6 @@ impl ClusterRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::FleetRunner;
     use mimo_core::governor::FixedGovernor;
     use mimo_linalg::Vector;
     use mimo_sim::llc::LlcConfig;
@@ -547,27 +503,152 @@ mod tests {
         assert_eq!(chip0, plain);
     }
 
+    /// A small one-chip cluster: the single-chip deployment shape.
+    fn one_chip() -> ClusterConfig {
+        ClusterConfig::new(1, 4)
+            .epochs(80)
+            .chip_policy(ArbitrationPolicy::Proportional)
+            .seed(7)
+    }
+
     #[test]
-    fn one_chip_cluster_matches_fleet_runner_bit_for_bit() {
-        let ccfg = ClusterConfig::new(1, 4)
-            .epochs(150)
-            .exchange_period(25)
-            .seed(7);
-        let (cstats, _) = ClusterRunner::new(ccfg, |_, _, _| fixed())
-            .unwrap()
-            .run_traced()
-            .unwrap();
-        let fstats = FleetRunner::new(FleetConfig::new(4).epochs(150).seed(7), |_, _| fixed())
+    fn one_chip_cluster_keeps_its_nominal_cap_and_reruns_bit_identically() {
+        let run = || {
+            ClusterRunner::new(one_chip().epochs(150), |_, _, _| fixed())
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let (one, two) = (run(), run());
+        assert_eq!(one, two);
+        assert_eq!(one.digest(), two.digest());
+        assert_eq!(one.n_chips, 1);
+        // 150 epochs at period 25 → 6 windows → 5 exchanges, none of which
+        // can move a lone chip off its nominal cap.
+        assert_eq!(one.exchanges, 5);
+        assert_eq!(one.rebudget_moves, 0);
+        assert_eq!(one.per_chip[0].chip_cap_w, 1.2 * 4.0);
+    }
+
+    #[test]
+    fn one_chip_stats_cover_all_cores_and_accumulate_energy() {
+        let run = |cfg: ClusterConfig| {
+            ClusterRunner::new(cfg, |_, _, _| fixed())
+                .unwrap()
+                .run()
+                .unwrap()
+                .per_chip
+                .remove(0)
+        };
+        let stats = run(one_chip());
+        assert_eq!(stats.n_cores, 4);
+        assert_eq!(stats.per_core.len(), 4);
+        assert_eq!(stats.epochs, 80);
+        assert!(stats.energy_j > 0.0);
+        assert!(stats.instructions_g > 0.0);
+        assert!(stats.avg_chip_power_w > 0.0);
+        assert!(stats.peak_chip_power_w >= stats.avg_chip_power_w);
+        for (i, c) in stats.per_core.iter().enumerate() {
+            assert_eq!(c.core, i);
+            assert!(c.avg_power_w > 0.0, "{c:?}");
+        }
+        // Core seeds derive from the base seed, so another seed is
+        // another run.
+        let other = run(one_chip().seed(8));
+        assert_ne!(stats, other);
+        assert_ne!(stats.digest(), other.digest());
+    }
+
+    #[test]
+    fn governor_plant_input_mismatch_rejected() {
+        // FreqCache plants take 2 inputs; a 3-input governor cannot drive
+        // them.
+        let err = ClusterRunner::new(one_chip(), |_, _, _| {
+            Box::new(FixedGovernor::new(Vector::from_slice(&[1.3, 6.0, 48.0])))
+        });
+        assert!(matches!(err, Err(FleetError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn traced_run_matches_untraced_and_its_jsonl_reruns_identically() {
+        let plain = ClusterRunner::new(one_chip(), |_, _, _| fixed())
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(cstats.n_chips, 1);
-        assert_eq!(cstats.per_chip[0], fstats);
-        assert_eq!(cstats.per_chip[0].digest(), fstats.digest());
-        // 150 epochs at period 25 → 6 windows → 5 exchanges, none of which
-        // can move a lone chip off its nominal cap.
-        assert_eq!(cstats.exchanges, 5);
-        assert_eq!(cstats.rebudget_moves, 0);
+        let traced = || {
+            ClusterRunner::new(
+                one_chip().observer(TelemetryConfig::trace(32)),
+                |_, _, _| fixed(),
+            )
+            .unwrap()
+            .run_traced()
+            .unwrap()
+        };
+        let (stats, telemetry) = traced();
+        // Observing must not perturb the control pipeline.
+        assert_eq!(plain, stats);
+        assert_eq!(plain.digest(), stats.digest());
+        assert!(telemetry.is_enabled());
+        let chip = &telemetry.per_chip[0];
+        assert_eq!(chip.per_core.len(), 4);
+        assert_eq!(chip.metrics.epochs, 4 * 80);
+        for (i, core) in chip.per_core.iter().enumerate() {
+            assert_eq!(core.core, i);
+            assert_eq!(core.metrics.epochs, 80);
+            assert_eq!(core.trace.len(), 32);
+            // The ring keeps the newest records.
+            assert_eq!(core.trace.last().unwrap().epoch, 79);
+            assert_eq!(core.summary.unwrap().epochs, 80);
+        }
+        // Merged metrics reduce in core order, so the export is
+        // byte-identical run to run.
+        let (_, again) = traced();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        telemetry.write_jsonl(&mut a).unwrap();
+        again.write_jsonl(&mut b).unwrap();
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+        // Untraced runs return an empty (disabled) telemetry.
+        let (_, empty) = ClusterRunner::new(one_chip(), |_, _, _| fixed())
+            .unwrap()
+            .run_traced()
+            .unwrap();
+        assert!(!empty.is_enabled());
+    }
+
+    #[test]
+    fn zero_epochs_returns_zeroed_stats() {
+        let stats = ClusterRunner::new(one_chip().epochs(0), |_, _, _| fixed())
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(stats.exchanges, 0);
+        let chip = &stats.per_chip[0];
+        assert_eq!(chip.epochs, 0);
+        assert_eq!(chip.cap_violation_epochs, 0);
+        assert_eq!(chip.energy_j, 0.0);
+        assert_eq!(chip.agg_ips_err_pct, 0.0);
+    }
+
+    #[test]
+    fn one_chip_cap_above_nominal_is_clamped_to_nominal() {
+        // The arbiter never grants a chip more than 1.2 W per core, so a
+        // generous cluster cap on one chip lands exactly on that budget.
+        for cores in [4usize, 6] {
+            let stats = ClusterRunner::new(
+                ClusterConfig::new(1, cores).epochs(50).power_cap(100.0),
+                |_, _, _| fixed(),
+            )
+            .unwrap()
+            .run()
+            .unwrap();
+            assert_eq!(stats.cluster_cap_w, 100.0);
+            assert_eq!(
+                stats.per_chip[0].chip_cap_w.to_bits(),
+                (1.2 * cores as f64).to_bits(),
+                "{cores} cores"
+            );
+        }
     }
 
     #[test]
@@ -610,61 +691,13 @@ mod tests {
     }
 
     #[test]
-    fn fleet_config_lifts_to_a_one_chip_cluster() {
-        use mimo_sim::fault::{FaultKind, FaultSpec};
-        let spec = FaultSpec {
-            kind: FaultKind::NanMeasurement { channel: 0 },
-            start_epoch: 10,
-            duration: 5,
-        };
-        let fleet = FleetConfig::new(4)
-            .epochs(150)
-            .seed(7)
-            .power_cap(4.0)
-            .policy(ArbitrationPolicy::Uniform)
-            .apps(vec!["astar"])
-            .fault_rate(0.01)
-            .core_fault(2, spec);
-        let cluster = ClusterConfig::from(fleet.clone());
-        assert_eq!(cluster.n_chips, 1);
-        assert_eq!(cluster.cores_per_chip, 4);
-        assert_eq!(cluster.cluster_power_cap_w, 4.0);
-        assert_eq!(cluster.chip_policy, ArbitrationPolicy::Uniform);
-        assert_eq!(cluster.fault_rate, 0.01);
-        assert_eq!(cluster.core_faults, vec![(0, 2, spec)]);
-        cluster.validate().unwrap();
-        // The lifted chip reproduces the fleet's own config, knob for
-        // knob, apart from the power cap (which lifts to the cluster
-        // arbiter; the chip keeps its nominal budget and the arbiter
-        // grants `min(cap, nominal)` at each exchange).
-        let chip0 = cluster.chip_config(0);
-        let nominal_cap = chip0.chip_power_cap_w;
-        assert_eq!(chip0, fleet.clone().power_cap(nominal_cap));
-    }
-
-    #[test]
-    fn lifted_cluster_reproduces_the_fleet_run_bit_for_bit() {
-        let fleet = FleetConfig::new(4).epochs(150).seed(7);
-        let fstats = FleetRunner::new(fleet.clone(), |_, _| fixed())
-            .unwrap()
-            .run()
-            .unwrap();
-        let cstats = ClusterRunner::new(ClusterConfig::from(fleet), |_, _, _| fixed())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(cstats.per_chip[0], fstats);
-        assert_eq!(cstats.per_chip[0].digest(), fstats.digest());
-    }
-
-    #[test]
     fn tight_cluster_cap_throttles_chips() {
         // Cap the cluster at half the nominal sum: the arbiter must cut
         // every chip below nominal and the chips must still track.
         let cfg = ClusterConfig::new(2, 2)
             .epochs(50)
             .exchange_period(10)
-            .cluster_power_cap(0.5 * 1.2 * 4.0)
+            .power_cap(0.5 * 1.2 * 4.0)
             .seed(3);
         let stats = ClusterRunner::new(cfg, |_, _, _| fixed())
             .unwrap()

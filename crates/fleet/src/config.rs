@@ -1,4 +1,9 @@
-//! Fleet configuration: how many cores, which applications, what budget.
+//! Per-chip configuration: how many cores, which applications, what budget.
+//!
+//! A [`FleetConfig`] describes one chip. Runs are built from a
+//! [`ClusterConfig`](crate::ClusterConfig), which derives every chip's
+//! config ([`ClusterConfig::chip_config`](crate::ClusterConfig::chip_config));
+//! a single chip is the one-chip cluster `ClusterConfig::new(1, cores)`.
 
 use mimo_core::telemetry::TelemetryConfig;
 use mimo_sim::fault::FaultSpec;
@@ -22,7 +27,8 @@ pub struct CoreSpec {
     pub priority: f64,
 }
 
-/// Configuration of a [`crate::FleetRunner`].
+/// Configuration of one [`Chip`](crate::Chip): its cores, workloads,
+/// budget, faults and telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of cores (plants) in the fleet.
@@ -31,7 +37,9 @@ pub struct FleetConfig {
     pub epochs: usize,
     /// Input set every per-core controller actuates.
     pub input_set: InputSet,
-    /// Chip-level power cap in watts, shared by all cores.
+    /// Chip-level power cap in watts, shared by all cores. Starts at the
+    /// nominal 1.2 W/core; in a run the cluster arbiter installs the
+    /// granted cap at every exchange.
     pub chip_power_cap_w: f64,
     /// How the arbiter splits the cap across cores.
     pub policy: ArbitrationPolicy,
@@ -82,7 +90,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `n_cores` with the defaults used by the `fleet_scale`
+    /// A chip of `n_cores` with the defaults used by the `fleet_scale`
     /// experiment: two-input plants, a chip cap sized at 1.2 W/core, the
     /// proportional policy, and the paper's aggressive tracking targets.
     pub fn new(n_cores: usize) -> Self {
@@ -121,21 +129,6 @@ impl FleetConfig {
     pub fn policy(mut self, policy: ArbitrationPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Sets the power cap this topology's arbiter divides — for a fleet,
-    /// the chip-level cap in watts (builder style). Shares its name with
-    /// [`ClusterConfig::power_cap`](crate::ClusterConfig::power_cap), the
-    /// same knob one level up, so one spec shape drives both.
-    pub fn power_cap(mut self, watts: f64) -> Self {
-        self.chip_power_cap_w = watts;
-        self
-    }
-
-    /// Alias of [`FleetConfig::power_cap`] under the topology-specific
-    /// name (builder style).
-    pub fn chip_power_cap(self, watts: f64) -> Self {
-        self.power_cap(watts)
     }
 
     /// Sets the input set every per-core controller actuates (builder
@@ -326,7 +319,8 @@ mod tests {
 
     #[test]
     fn negative_cap_rejected() {
-        let cfg = FleetConfig::new(4).chip_power_cap(-1.0);
+        let mut cfg = FleetConfig::new(4);
+        cfg.chip_power_cap_w = -1.0;
         assert!(cfg.validate().is_err());
     }
 
@@ -423,14 +417,6 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("no-such-app"), "{err}");
-    }
-
-    #[test]
-    fn power_cap_and_chip_power_cap_are_the_same_knob() {
-        let a = FleetConfig::new(4).power_cap(3.3);
-        let b = FleetConfig::new(4).chip_power_cap(3.3);
-        assert_eq!(a, b);
-        assert_eq!(a.chip_power_cap_w, 3.3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-core, fleet-aggregate, and cluster-aggregate run statistics.
+//! Per-core, per-chip, and cluster-aggregate run statistics.
 
 use mimo_core::digest::Fnv1a;
 use serde::Serialize;
@@ -58,16 +58,16 @@ pub struct CoreStats {
     pub quarantine_epoch: Option<u64>,
 }
 
-/// Whole-fleet statistics for one run.
+/// One chip's statistics for one run (an entry of
+/// [`ClusterStats::per_chip`]).
 ///
-/// Everything except the two wall-clock fields (`wall_s`,
-/// `epochs_per_sec`) is a pure function of the configuration and seeds,
+/// Everything except the wall-clock field (`wall_s`) is a pure function of the configuration and seeds,
 /// and therefore bit-identical run to run and at any cluster shard count;
 /// `PartialEq` compares only the deterministic fields so runs can be
 /// checked for reproducibility directly.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetStats {
-    /// Cores in the fleet.
+    /// Cores on the chip.
     pub n_cores: usize,
     /// Epochs run.
     pub epochs: usize,
@@ -87,7 +87,7 @@ pub struct FleetStats {
     pub agg_ips_err_pct: f64,
     /// Mean of the per-core power tracking errors, percent.
     pub agg_power_err_pct: f64,
-    /// Total fleet energy, joules.
+    /// Total chip energy, joules.
     pub energy_j: f64,
     /// Total instructions, billions.
     pub instructions_g: f64,
@@ -98,17 +98,16 @@ pub struct FleetStats {
     /// Arbiter grants issued below the nominal power target (one per
     /// throttled core per epoch).
     pub throttle_events: u64,
-    /// Wall-clock duration of the epoch loop, seconds (not deterministic).
+    /// Wall-clock time spent stepping this chip, seconds (not
+    /// deterministic).
     pub wall_s: f64,
-    /// Fleet epochs per second of wall clock (not deterministic).
-    pub epochs_per_sec: f64,
     /// Per-core breakdown.
     pub per_core: Vec<CoreStats>,
 }
 
 impl PartialEq for FleetStats {
     fn eq(&self, other: &Self) -> bool {
-        // Everything but the wall-clock fields wall_s / epochs_per_sec.
+        // Everything but the wall-clock field wall_s.
         self.n_cores == other.n_cores
             && self.epochs == other.epochs
             && self.policy == other.policy
@@ -152,11 +151,11 @@ impl FleetStats {
         h.finish()
     }
 
-    /// Assembles whole-fleet statistics from the drained per-core stats and
+    /// Assembles the chip's statistics from the drained per-core stats and
     /// the arbiter's chip-level accumulators.
     ///
     /// Called by [`Chip::into_results`](crate::Chip::into_results), which
-    /// both the fleet runner and the cluster drain go through.
+    /// the cluster drain goes through.
     pub(crate) fn assemble(
         cfg: &FleetConfig,
         epochs: usize,
@@ -186,11 +185,6 @@ impl FleetStats {
             fault_epochs: per_core.iter().map(|c| c.fault_epochs).sum(),
             throttle_events: arbiter.throttle_events(),
             wall_s,
-            epochs_per_sec: if wall_s > 0.0 {
-                epochs as f64 / wall_s
-            } else {
-                0.0
-            },
             per_core,
         }
     }
@@ -240,15 +234,13 @@ pub struct ClusterStats {
     pub fault_epochs: u64,
     /// Wall-clock duration of the cluster run, seconds (not deterministic).
     pub wall_s: f64,
-    /// Cluster chip-epochs per second of wall clock (not deterministic).
-    pub epochs_per_sec: f64,
     /// Per-chip breakdown, in chip order.
     pub per_chip: Vec<FleetStats>,
 }
 
 impl PartialEq for ClusterStats {
     fn eq(&self, other: &Self) -> bool {
-        // Everything but shards / wall_s / epochs_per_sec (and, inside each
+        // Everything but shards / wall_s (and, inside each
         // chip, FleetStats' own non-deterministic fields).
         self.n_chips == other.n_chips
             && self.total_cores == other.total_cores
@@ -324,11 +316,6 @@ impl ClusterStats {
             quarantined_cores: per_chip.iter().map(|c| c.quarantined_cores).sum(),
             fault_epochs: per_chip.iter().map(|c| c.fault_epochs).sum(),
             wall_s,
-            epochs_per_sec: if wall_s > 0.0 {
-                (epochs * per_chip.len()) as f64 / wall_s
-            } else {
-                0.0
-            },
             per_chip,
         }
     }
@@ -356,7 +343,6 @@ mod tests {
             fault_epochs: 0,
             throttle_events: 0,
             wall_s: 0.5,
-            epochs_per_sec: 20.0,
             per_core: vec![CoreStats {
                 core: 0,
                 app: "astar".into(),
@@ -378,7 +364,6 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b.wall_s = 99.0;
-        b.epochs_per_sec = 1.0;
         assert_eq!(a, b);
         let mut c = sample();
         c.energy_j += 1e-9;
@@ -430,7 +415,6 @@ mod tests {
         let mut b = cluster_sample();
         b.shards = 8;
         b.wall_s = 99.0;
-        b.epochs_per_sec = 1.0;
         b.per_chip[0].wall_s = 3.0;
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());

@@ -1,11 +1,13 @@
-//! Fleet-level telemetry: per-core sink results plus the merged view.
+//! Chip- and cluster-level telemetry: per-core sink results plus the
+//! merged views.
 //!
-//! Every core in a traced fleet run carries its own
+//! Every core in a traced run carries its own
 //! [`TelemetrySink`](mimo_core::telemetry::TelemetrySink), so the hot loop
 //! never shares telemetry state across threads. When the run ends the
 //! runner drains each core's sink into a [`CoreTelemetry`] and merges the
-//! per-core [`Metrics`] — in core order, so the result is bit-identical no
-//! matter how many shard threads stepped the chips.
+//! per-core [`Metrics`] — in core order within a chip, then in chip order,
+//! so the result is bit-identical no matter how many shard threads
+//! stepped the chips.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -42,9 +44,9 @@ pub struct CoreTelemetry {
     pub injected_faults: [u64; FAULT_KIND_COUNT],
 }
 
-/// Whole-fleet telemetry for one run: the merged metrics plus every core's
-/// drained sink. Returned by `FleetRunner::run_traced`; empty (and
-/// disabled) when the config leaves telemetry off.
+/// One chip's telemetry for one run: the merged metrics plus every core's
+/// drained sink. [`ClusterTelemetry::per_chip`] holds one per chip; empty
+/// (and disabled) when the config leaves telemetry off.
 #[derive(Debug, Clone, Default)]
 pub struct FleetTelemetry {
     /// All per-core metrics merged in core order (worker-count

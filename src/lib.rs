@@ -17,8 +17,9 @@
 //!   Decoupled baselines.
 //! * [`exp`] — the experiment harness that regenerates every figure and
 //!   table of the paper's evaluation.
-//! * [`fleet`] — the many-core fleet runtime: per-core MIMO governors
-//!   stepped in lock-step epochs under a chip-level power-budget arbiter.
+//! * [`fleet`] — the many-core runtime: per-core MIMO governors stepped
+//!   in lock-step epochs under chip- and cluster-level power-budget
+//!   arbiters (a single chip is a one-chip cluster).
 //!
 //! The [`telemetry`] facade re-exports the observability layer
 //! (`mimo_core::telemetry`): the [`telemetry::Observer`] trait, the

@@ -1,6 +1,7 @@
-//! Fleet- and cluster-level bit-parity of banked vs per-cell stepping.
+//! Chip- and cluster-level bit-parity of banked vs per-cell stepping.
 //!
-//! `FleetConfig::banked` / `ClusterConfig::banked` only change the
+//! `ClusterConfig::banked` (and the per-chip `FleetConfig::banked` it sets)
+//! only change the
 //! execution strategy — structure-of-arrays `GovernorBank` batches vs one
 //! boxed governor per core — never the science. These tests prove it on
 //! controllers produced by the real design flow, across shard counts, and
@@ -10,19 +11,21 @@
 //! chip's bank mid-run.
 
 use mimo_arch::exp::setup;
-use mimo_arch::fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner, FleetConfig, FleetRunner};
+use mimo_arch::fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner};
 use mimo_arch::sim::fault::{FaultKind, FaultSpec};
 use mimo_arch::sim::InputSet;
 
-fn faulted_fleet(banked: bool) -> FleetConfig {
-    FleetConfig::new(8)
+/// One 8-core chip (a one-chip cluster) with two scheduled faults.
+fn faulted_fleet(banked: bool) -> ClusterConfig {
+    ClusterConfig::new(1, 8)
         .epochs(160)
-        .policy(ArbitrationPolicy::Proportional)
+        .chip_policy(ArbitrationPolicy::Proportional)
         .seed(11)
         .banked(banked)
         // Transient: the fallback governor rescues core 2 once the NaN
         // window passes.
         .core_fault(
+            0,
             2,
             FaultSpec {
                 kind: FaultKind::NanMeasurement { channel: 0 },
@@ -33,6 +36,7 @@ fn faulted_fleet(banked: bool) -> FleetConfig {
         // Permanent: core 5's actuator never recovers, so the fallback
         // re-latches and the arbiter pins the core at the floor budget.
         .core_fault(
+            0,
             5,
             FaultSpec {
                 kind: FaultKind::ActuatorStuckAt {
@@ -50,7 +54,7 @@ fn banked_fleet_matches_per_cell_through_quarantine_and_eviction() {
     let ctrl = &setup::design_mimo(InputSet::FreqCache, 2)
         .expect("design")
         .controller;
-    let per_cell = FleetRunner::with_shared_controller(faulted_fleet(false), ctrl)
+    let per_cell = ClusterRunner::with_shared_controller(faulted_fleet(false), ctrl)
         .unwrap()
         .run()
         .unwrap();
@@ -59,7 +63,7 @@ fn banked_fleet_matches_per_cell_through_quarantine_and_eviction() {
         per_cell.quarantined_cores > 0,
         "fault plan stopped quarantining; the parity below would be vacuous"
     );
-    let banked = FleetRunner::with_shared_controller(faulted_fleet(true), ctrl)
+    let banked = ClusterRunner::with_shared_controller(faulted_fleet(true), ctrl)
         .unwrap()
         .run()
         .unwrap();
@@ -73,13 +77,14 @@ fn banked_three_knob_fleet_matches_per_cell() {
         .expect("design")
         .controller;
     let cfg = |banked: bool| {
-        FleetConfig::new(6)
+        ClusterConfig::new(1, 6)
             .input_set(InputSet::FreqCacheRob)
             .epochs(120)
-            .policy(ArbitrationPolicy::Proportional)
+            .chip_policy(ArbitrationPolicy::Proportional)
             .seed(23)
             .banked(banked)
             .core_fault(
+                0,
                 1,
                 FaultSpec {
                     kind: FaultKind::NanMeasurement { channel: 1 },
@@ -88,11 +93,11 @@ fn banked_three_knob_fleet_matches_per_cell() {
                 },
             )
     };
-    let per_cell = FleetRunner::with_shared_controller(cfg(false), ctrl)
+    let per_cell = ClusterRunner::with_shared_controller(cfg(false), ctrl)
         .unwrap()
         .run()
         .unwrap();
-    let banked = FleetRunner::with_shared_controller(cfg(true), ctrl)
+    let banked = ClusterRunner::with_shared_controller(cfg(true), ctrl)
         .unwrap()
         .run()
         .unwrap();

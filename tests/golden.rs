@@ -7,14 +7,14 @@
 
 use std::sync::OnceLock;
 
-use mimo_arch::core::governor::{FixedGovernor, MimoGovernor};
+use mimo_arch::core::governor::{fast_governor, FixedGovernor, MimoGovernor};
 use mimo_arch::core::optimizer::Metric;
 use mimo_arch::core::LqgController;
 use mimo_arch::exp::runner::{
     run_optimization, run_schedule, run_self_directed, run_tracking, ReferenceStep,
 };
 use mimo_arch::exp::setup;
-use mimo_arch::fleet::{ArbitrationPolicy, FleetConfig, FleetRunner};
+use mimo_arch::fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner, ClusterStats};
 use mimo_arch::linalg::Vector;
 use mimo_arch::sim::InputSet;
 
@@ -112,42 +112,19 @@ fn golden_self_directed_fixed() {
     );
 }
 
-#[test]
-fn golden_fleet_digest() {
-    let cfg = FleetConfig::new(4)
-        .epochs(150)
-        .policy(ArbitrationPolicy::Proportional)
-        .seed(7);
-    let stats = FleetRunner::with_shared_controller(cfg, controller())
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(stats.digest(), 0x19add60c38adeb17);
-    let per_core: Vec<f64> = stats
-        .per_core
-        .iter()
-        .flat_map(|c| [c.avg_ips_err_pct, c.avg_power_err_pct, c.energy_j])
-        .collect();
-    assert_eq!(bits(&per_core), 0x12d0dc98e60d37d6);
-}
-
-#[test]
-fn golden_one_chip_cluster_reproduces_the_fleet_digest() {
-    // The two-level hierarchy must be invisible when it degenerates to a
-    // single chip: same seed, same epochs, same policy → the chip's
-    // FleetStats digest is the exact single-chip golden above, even though
-    // a cluster arbiter re-granted the chip's cap at every exchange.
-    use mimo_arch::fleet::{ClusterConfig, ClusterRunner};
-    let cfg = ClusterConfig::new(1, 4)
+/// The single-chip golden: a one-chip cluster, 4 cores, 150 epochs, seed 7.
+fn one_chip_golden() -> ClusterConfig {
+    ClusterConfig::new(1, 4)
         .epochs(150)
         .exchange_period(25)
         .policy(ArbitrationPolicy::Proportional)
         .chip_policy(ArbitrationPolicy::Proportional)
-        .seed(7);
-    let stats = ClusterRunner::with_shared_controller(cfg, controller())
-        .unwrap()
-        .run()
-        .unwrap();
+        .seed(7)
+}
+
+/// Checks a single-chip golden run against both pins: the chip digest and
+/// the per-core error/energy bits.
+fn assert_one_chip_golden(stats: &ClusterStats) {
     assert_eq!(stats.n_chips, 1);
     assert_eq!(stats.per_chip[0].digest(), 0x19add60c38adeb17);
     let per_core: Vec<f64> = stats.per_chip[0]
@@ -156,4 +133,29 @@ fn golden_one_chip_cluster_reproduces_the_fleet_digest() {
         .flat_map(|c| [c.avg_ips_err_pct, c.avg_power_err_pct, c.energy_j])
         .collect();
     assert_eq!(bits(&per_core), 0x12d0dc98e60d37d6);
+}
+
+#[test]
+fn golden_fleet_digest() {
+    // The per-core factory path: every core gets its own clone of the
+    // controller through `fast_governor`, stepped per cell.
+    let stats = ClusterRunner::new(one_chip_golden(), |_, _, _| {
+        fast_governor(controller().clone())
+    })
+    .unwrap()
+    .run()
+    .unwrap();
+    assert_one_chip_golden(&stats);
+}
+
+#[test]
+fn golden_one_chip_cluster_reproduces_the_fleet_digest() {
+    // The shared-controller path: the chip steps its cores through a
+    // structure-of-arrays bank, and a cluster arbiter re-grants the chip's
+    // cap at every exchange. Neither may move a bit of the golden above.
+    let stats = ClusterRunner::with_shared_controller(one_chip_golden(), controller())
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_one_chip_golden(&stats);
 }

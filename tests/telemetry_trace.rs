@@ -1,28 +1,31 @@
-//! The telemetry acceptance scenario: a ring-buffer observer on a 16-core
-//! faulted fleet must produce a JSONL trace from which the quarantine
-//! epoch and cause of every latched core can be recovered — and the trace
-//! must be byte-identical run to run.
+//! The telemetry acceptance scenario: a ring-buffer observer on a faulted
+//! 16-core chip (a one-chip cluster) must produce a JSONL trace from which
+//! the quarantine epoch and cause of every latched core can be recovered —
+//! and the trace must be byte-identical run to run.
 
 use mimo_arch::exp::setup;
-use mimo_arch::fleet::{ArbitrationPolicy, FleetConfig, FleetRunner, FleetStats, FleetTelemetry};
+use mimo_arch::fleet::{
+    ArbitrationPolicy, ClusterConfig, ClusterRunner, FleetStats, FleetTelemetry,
+};
 use mimo_arch::sim::fault::{FaultKind, FaultSpec};
 use mimo_arch::sim::InputSet;
 use mimo_arch::telemetry::{CauseCode, TelemetryConfig};
 
 const BAD_CORES: [usize; 4] = [1, 5, 9, 13];
 
-/// Runs the 16-core fleet with four permanently-NaN IPS sensors and a
-/// 64-record ring on every core.
+/// Runs the 16-core chip with four permanently-NaN IPS sensors and a
+/// 64-record ring on every core; returns the chip's stats and telemetry.
 fn traced_faulted_fleet() -> (FleetStats, FleetTelemetry) {
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
-    let mut cfg = FleetConfig::new(16)
+    let mut cfg = ClusterConfig::new(1, 16)
         .epochs(300)
-        .policy(ArbitrationPolicy::Proportional)
-        .chip_power_cap(19.2)
+        .chip_policy(ArbitrationPolicy::Proportional)
+        .power_cap(19.2)
         .seed(2016)
         .observer(TelemetryConfig::trace(64));
     for &core in &BAD_CORES {
         cfg = cfg.core_fault(
+            0,
             core,
             FaultSpec {
                 kind: FaultKind::NanMeasurement { channel: 0 },
@@ -31,10 +34,11 @@ fn traced_faulted_fleet() -> (FleetStats, FleetTelemetry) {
             },
         );
     }
-    FleetRunner::with_shared_controller(cfg, &design.controller)
-        .expect("fleet")
+    let (mut stats, mut telemetry) = ClusterRunner::with_shared_controller(cfg, &design.controller)
+        .expect("chip")
         .run_traced()
-        .expect("validated fleet config")
+        .expect("validated chip config");
+    (stats.per_chip.remove(0), telemetry.per_chip.remove(0))
 }
 
 /// Extracts an integer field like `"core":13` from one JSONL line.
